@@ -20,16 +20,15 @@ on mathematical answers:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import jsonio
 from .completion import (
     LazySaturation,
-    SaturationFunctor,
     identity_proj_object,
     validate_proj_object,
-    validate_saturation_functor,
     word_dim,
 )
 from .homotopy import HoMorphism, aut_group, ho_compose, hom_monoid
@@ -45,6 +44,7 @@ from .presentations import (
     sum_lift,
 )
 from .semisimple import (
+    NotSemisimple,
     NotSplitOverBaseField,
     SemisimpleForm,
     are_morita_equivalent,
@@ -66,7 +66,12 @@ EXIT_NOT_SPLIT = 3
 
 
 class CommandError(Exception):
-    """An invalid input or ill-posed question; maps to exit code 2."""
+    """An invalid input or ill-posed question; maps to exit code 2.
+    ``problems``, when given, lists the violations behind the refusal."""
+
+    def __init__(self, message, problems=None):
+        super().__init__(message)
+        self.problems = problems
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +110,32 @@ def _as_concrete(value, path) -> ConcreteStarCategory:
     )
 
 
+@contextlib.contextmanager
+def _refusing_invalid(*inputs):
+    """Refuse, as invalid input, a NotSemisimple raised while working on
+    the given (path, concrete category) inputs, with the violations of
+    the first input that validate_category rejects.  Validation runs only
+    on this failure path, so valid inputs pay nothing for it."""
+    try:
+        yield
+    except NotSemisimple as exc:
+        for path, cat in inputs:
+            problems = [str(v) for v in validate_category(cat)]
+            if problems:
+                raise CommandError(
+                    f"{path}: not a valid *-category ({exc})", problems
+                ) from None
+        raise
+
+
 def _as_form(value, path) -> SemisimpleForm:
     """A semisimple form from a category document (concrete categories
     are decomposed)."""
     if isinstance(value, SemisimpleForm):
         return value
     if isinstance(value, ConcreteStarCategory):
-        return decompose(value).form
+        with _refusing_invalid((path, value)):
+            return decompose(value).form
     raise CommandError(
         f"{path}: a category document is required (concrete or semisimple)"
     )
@@ -146,6 +170,8 @@ def _emit(args, doc, lines):
 
 def _emit_error(args, message, extra=None):
     print(f"error: {message}", file=sys.stderr)
+    for problem in (extra or {}).get("problems", ()):
+        print(f"  - {problem}", file=sys.stderr)
     if args is not None and getattr(args, "json", False):
         doc = {"error": message}
         if extra:
@@ -172,8 +198,6 @@ def cmd_validate(args):
         problems = [str(v) for v in validate_category(value)]
     elif isinstance(value, StarFunctor):
         problems = list(validate_functor(value))
-    elif isinstance(value, SaturationFunctor):
-        problems = list(validate_saturation_functor(value))
     else:
         # Semisimple forms, presentations, and homotopy-class matrices
         # are fully checked during parsing.
@@ -195,7 +219,8 @@ def cmd_decompose(args):
         doc = jsonio.semisimple_form_to_json(form)
         lines = [f"already semisimple: {form.k} block(s)"]
     elif isinstance(value, ConcreteStarCategory):
-        d = decompose(value)
+        with _refusing_invalid((args.file, value)):
+            d = decompose(value)
         form = d.form
         doc = jsonio.semisimple_form_to_json(form)
         doc["unit_ranks"] = list(d.unit_ranks)
@@ -281,19 +306,16 @@ def cmd_saturate(args):
 def cmd_morita(args):
     a = _load_concrete(args.a)
     b = _load_concrete(args.b)
-    equivalent, witness = are_morita_equivalent(a, b)
+    with _refusing_invalid((args.a, a), (args.b, b)):
+        equivalent, witness = are_morita_equivalent(a, b)
     if not equivalent:
-        ka = decompose(a).form.k
-        kb = decompose(b).form.k
-        reason = f"block count {ka} ≠ {kb}"
+        reason = f"block count {decompose(a).form.k} ≠ {decompose(b).form.k}"
         doc = {"equivalent": False, "reason": reason}
         _emit(args, doc, [f"not Morita equivalent: {reason}"])
         return EXIT_NO
     doc = {
         "equivalent": True,
-        "witness": jsonio.saturation_functor_to_json(witness)
-        if witness is not None
-        else None,
+        "witness": jsonio.functor_to_json(witness) if witness is not None else None,
     }
     lines = ["Morita equivalent"]
     if witness is not None:
@@ -303,7 +325,10 @@ def cmd_morita(args):
                 f"  {name} -> word ({', '.join(obj.word)}), rank {obj.proj.rank()}"
             )
     else:
-        note = "no explicit witness functor exists over the Gaussian rationals"
+        note = (
+            "the categories are Morita equivalent, but the exact witness "
+            "construction found no functor"
+        )
         doc["note"] = note
         lines.append(note)
     _emit(args, doc, lines)
@@ -355,8 +380,7 @@ def cmd_compose(args):
 
 def cmd_picard(args):
     form = _load_form(args.file)
-    bound = args.bound if args.bound is not None else 2
-    group = aut_group(form, verify=args.verify, verify_entry_bound=bound)
+    group = aut_group(form, verify=args.verify, verify_entry_bound=args.bound)
     summary = f"{group.label} (order {group.order})"
     if group.verified:
         summary += ", verified by enumeration"
@@ -495,7 +519,8 @@ def cmd_pushout(args):
 
 def cmd_fibrancy_probe(args):
     cat = _load_concrete(args.file)
-    report = fibrancy_probe(cat)
+    with _refusing_invalid((args.file, cat)):
+        report = fibrancy_probe(cat)
     doc = {
         "target": report.target_kind,
         "verdict": report.verdict,
@@ -528,7 +553,7 @@ def cmd_fibrancy_probe(args):
 
 def cmd_lift_check(args):
     value = _load_value(args.functor)
-    if not isinstance(value, StarFunctor):
+    if not isinstance(value, StarFunctor) or isinstance(value.target, LazySaturation):
         raise CommandError(f'{args.functor}: a "functor" document is required')
     square_doc = _load_json(args.square)
     try:
@@ -577,18 +602,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a JSON report on stdout"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized probes (fixed default for reproducibility)",
-    )
-    common.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="truncation/enumeration bound where a verb enumerates",
     )
 
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
@@ -643,6 +656,12 @@ def _build_parser():
     )
     p.add_argument("a")
     p.add_argument("b")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        help="also count the elements with entry sum at most BOUND",
+    )
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser(
@@ -664,6 +683,12 @@ def _build_parser():
         "--verify",
         action="store_true",
         help="re-derive the group by exhaustive enumeration",
+    )
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=2,
+        help="entry bound of the --verify enumeration (default 2)",
     )
     p.set_defaults(func=cmd_picard)
 
@@ -754,7 +779,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CommandError as exc:
-        _emit_error(args, str(exc))
+        extra = None if exc.problems is None else {"problems": exc.problems}
+        _emit_error(args, str(exc), extra=extra)
         return EXIT_INVALID
     except NotSplitOverBaseField as exc:
         _emit_error(

@@ -10,6 +10,12 @@ The saturation is infinite, so it is never materialized as a whole:
 ``LazySaturation`` computes hom spaces on demand and memoizes them
 (write-once, safe for concurrent readers).  Finite full subcategories
 can be materialized exactly as unit-bearing concrete categories.
+
+A saturation answers the same target interface as a concrete category
+(``dim`` is the word dimension, ``unit`` the object's projection,
+``object_problems`` is ``validate_proj_object``), so a functor A ->
+Sat(B) is an ordinary ``starcat.StarFunctor`` whose target is a
+``LazySaturation``; ``SaturationFunctor`` names that same class.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .scalar import (
-    ExactMatrix,
-    MatrixSpan,
-    ShapeError,
-    block_diag,
-    from_blocks,
-    span_membership,
+from .scalar import ExactMatrix, MatrixSpan, block_diag, from_blocks
+from .starcat import (
+    ConcreteStarCategory,
+    StarFunctor,
+    compose_functors,
+    star_category,
+    star_functor,
 )
-from .starcat import ConcreteStarCategory, StarFunctor, star_category, star_functor
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,33 @@ class LazySaturation:
         self._cache = {}
         self._lock = threading.Lock()
 
+    def __eq__(self, other):
+        if not isinstance(other, LazySaturation):
+            return NotImplemented
+        return self.base == other.base
+
+    def __hash__(self):
+        return hash(self.base)
+
     def iota_object(self, name: str) -> ProjObject:
         return identity_proj_object(self.base, name)
 
-    def identity_of(self, obj: ProjObject) -> ExactMatrix:
+    def has_object(self, obj: ProjObject) -> bool:
+        """Letters name base objects and the projection has the word's
+        shape; the projection laws are checked by ``object_problems``."""
+        if not all(self.base.has_object(x) for x in obj.word):
+            return False
+        n = self.dim(obj)
+        return obj.proj.rows == n and obj.proj.cols == n
+
+    def dim(self, obj: ProjObject) -> int:
+        return word_dim(self.base, obj.word)
+
+    def unit(self, obj: ProjObject) -> ExactMatrix:
         return obj.proj
+
+    def object_problems(self, obj: ProjObject):
+        return validate_proj_object(self.base, obj)
 
     def block_generators(self, src: ProjObject, tgt: ProjObject):
         """Uncompressed generators of the block-matrix space between the
@@ -164,22 +191,13 @@ class LazySaturation:
             return self._cache.setdefault(key, basis)
 
     def hom_span(self, src: ProjObject, tgt: ProjObject) -> MatrixSpan:
-        return MatrixSpan(
-            word_dim(self.base, tgt.word),
-            word_dim(self.base, src.word),
-            list(self.hom_basis(src, tgt)),
-        )
+        return MatrixSpan(self.dim(tgt), self.dim(src), list(self.hom_basis(src, tgt)))
 
     def hom_dim(self, src: ProjObject, tgt: ProjObject) -> int:
         return len(self.hom_basis(src, tgt))
 
     def contains_arrow(self, src, tgt, m) -> bool:
         return self.hom_span(src, tgt).contains(m)
-
-
-def idempotent_completion_hom(base, src: ProjObject, tgt: ProjObject):
-    """Hom basis between two saturation objects of a base category."""
-    return LazySaturation(base).hom_basis(src, tgt)
 
 
 # --- canonical sums and ranges ----------------------------------------
@@ -323,70 +341,17 @@ def materialize_full_subcategory(sat: LazySaturation, named_objects):
 
 # --- functors into a saturation ---------------------------------------
 
-
-@dataclass(frozen=True)
-class SaturationFunctor:
-    """A *-functor from a concrete category into the saturation of
-    another concrete category.
-
-    Arrow images are full ambient matrices between the image objects'
-    word spaces, one per canonical basis element of each source hom.
-    """
-
-    source: ConcreteStarCategory
-    target_base: ConcreteStarCategory
-    object_map: tuple  # sorted tuple of (source object name, ProjObject)
-    arrow_map: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
-
-    def target(self) -> LazySaturation:
-        return LazySaturation(self.target_base)
-
-    def apply_object(self, name: str) -> ProjObject:
-        for s, o in self.object_map:
-            if s == name:
-                return o
-        raise KeyError(f"functor has no value on object {name!r}")
-
-    def images(self, src: str, tgt: str):
-        for pair, mats in self.arrow_map:
-            if pair == (src, tgt):
-                return mats
-        return ()
-
-    def apply(self, src: str, tgt: str, m: ExactMatrix) -> ExactMatrix:
-        basis = self.source.hom_basis(src, tgt)
-        coeffs = span_membership(m, list(basis))
-        if coeffs is None:
-            raise ValueError("matrix is not in the source hom span")
-        fs = self.apply_object(src)
-        ft = self.apply_object(tgt)
-        acc = ExactMatrix.zeros(
-            word_dim(self.target_base, ft.word),
-            word_dim(self.target_base, fs.word),
-        )
-        for c, img in zip(coeffs, self.images(src, tgt)):
-            if not c.is_zero():
-                acc = acc + img.scale(c)
-        return acc
+SaturationFunctor = StarFunctor
 
 
-def saturation_functor(source, target_base, object_map, arrow_map) -> SaturationFunctor:
-    om = tuple(sorted(object_map.items(), key=lambda kv: kv[0]))
-    am = {}
-    for x, y in source.pairs():
-        basis = source.hom_basis(x, y)
-        if not basis:
-            continue
-        images = arrow_map.get((x, y))
-        if images is None:
-            raise KeyError(f"no arrow images for hom({x}, {y})")
-        if len(images) != len(basis):
-            raise ValueError(f"wrong number of images for hom({x}, {y})")
-        am[(x, y)] = tuple(images)
-    return SaturationFunctor(source, target_base, om, tuple(sorted(am.items())))
+def saturation_functor(source, target_base, object_map, arrow_map) -> StarFunctor:
+    """A functor from ``source`` into the saturation of ``target_base``:
+    object images are ProjObjects, arrow images full ambient matrices
+    between their word spaces."""
+    return star_functor(source, LazySaturation(target_base), object_map, arrow_map)
 
 
-def iota(base: ConcreteStarCategory) -> SaturationFunctor:
+def iota(base: ConcreteStarCategory) -> StarFunctor:
     """The canonical embedding of a category into its saturation."""
     return saturation_functor(
         base,
@@ -400,61 +365,9 @@ def iota(base: ConcreteStarCategory) -> SaturationFunctor:
     )
 
 
-def validate_saturation_functor(f: SaturationFunctor):
-    """Functor laws for a functor into a saturation; empty list if OK."""
-    problems = []
-    sat = LazySaturation(f.target_base)
-    for name in f.source.object_names():
-        obj = f.apply_object(name)
-        bad = validate_proj_object(f.target_base, obj)
-        problems.extend(f"image of {name}: {b}" for b in bad)
-    if problems:
-        return problems
-    for x, y in f.source.pairs():
-        basis = f.source.hom_basis(x, y)
-        if not basis:
-            continue
-        fx, fy = f.apply_object(x), f.apply_object(y)
-        span = sat.hom_span(fx, fy)
-        for b, img in zip(basis, f.images(x, y)):
-            if not span.contains(img):
-                problems.append(f"image of a hom({x}, {y}) element leaves the target hom")
-            if f.apply(y, x, b.adjoint()) != img.adjoint():
-                problems.append(f"involution not preserved on hom({x}, {y})")
-    for x in f.source.object_names():
-        if f.apply(x, x, f.source.unit(x)) != f.apply_object(x).proj:
-            problems.append(f"unit of {x} not sent to the image identity")
-    for x in f.source.object_names():
-        for y in f.source.object_names():
-            for z in f.source.object_names():
-                for a in f.source.hom_basis(x, y):
-                    for b in f.source.hom_basis(y, z):
-                        if f.apply(x, z, b @ a) != f.apply(y, z, b) @ f.apply(x, y, a):
-                            problems.append(
-                                f"composition not preserved on hom({x},{y}) x hom({y},{z})"
-                            )
-    return problems
-
-
-def compose_with_star_functor(f: SaturationFunctor, g: StarFunctor) -> SaturationFunctor:
-    """The composite f o g for a concrete functor g landing in f's
-    source."""
-    if g.target != f.source:
-        raise ValueError("not composable")
-    object_map = {x: f.apply_object(g.apply_object(x)) for x in g.source.object_names()}
-    arrow_map = {}
-    for x, y in g.source.pairs():
-        basis = g.source.hom_basis(x, y)
-        if not basis:
-            continue
-        gx, gy = g.apply_object(x), g.apply_object(y)
-        arrow_map[(x, y)] = [f.apply(gx, gy, g.apply(x, y, b)) for b in basis]
-    return saturation_functor(g.source, f.target_base, object_map, arrow_map)
-
-
-def saturation_inclusion_of(f: StarFunctor) -> SaturationFunctor:
+def saturation_inclusion_of(f: StarFunctor) -> StarFunctor:
     """A concrete functor viewed as landing in the target's saturation."""
-    return compose_with_star_functor(iota(f.target), f)
+    return compose_functors(iota(f.target), f)
 
 
 class ExtendedFunctor:
@@ -466,11 +379,9 @@ class ExtendedFunctor:
     canonical ranges to canonical ranges by construction.
     """
 
-    def __init__(self, functor: SaturationFunctor):
+    def __init__(self, functor: StarFunctor):
         self.functor = functor
         self.source_base = functor.source
-        self.target_base = functor.target_base
-        self.target_sat = LazySaturation(functor.target_base)
 
     def apply_object(self, obj: ProjObject) -> ProjObject:
         f = self.functor
@@ -491,12 +402,8 @@ class ExtendedFunctor:
         f = self.functor
         base = self.source_base
         if not src.word or not tgt.word:
-            rows = sum(
-                word_dim(self.target_base, f.apply_object(x).word) for x in tgt.word
-            )
-            cols = sum(
-                word_dim(self.target_base, f.apply_object(x).word) for x in src.word
-            )
+            rows = sum(f.target.dim(f.apply_object(x)) for x in tgt.word)
+            cols = sum(f.target.dim(f.apply_object(x)) for x in src.word)
             return ExactMatrix.zeros(rows, cols)
         grid = []
         for i, yi in enumerate(tgt.word):
@@ -509,7 +416,7 @@ class ExtendedFunctor:
         return from_blocks(grid)
 
 
-def extend_along_iota(functor: SaturationFunctor) -> ExtendedFunctor:
+def extend_along_iota(functor: StarFunctor) -> ExtendedFunctor:
     """Extend A -> Sat(C) to the saturation of A.
 
     The extension agrees with the original functor on one-letter words
@@ -554,8 +461,9 @@ class MoritaCertificate:
 def is_morita_equivalence(functor) -> MoritaCertificate:
     """Decide whether a functor is a Morita equivalence.
 
-    Accepts a StarFunctor between concrete categories or a
-    SaturationFunctor into a saturation.  The decision is: full
+    Accepts a functor into a concrete category (upgraded along the
+    inclusion of its target into the saturation) or into a saturation.
+    The decision is: full
     faithfulness, plus every block of the (base of the) target
     supported by some image object.  Closing the image under sums and
     ranges reaches exactly the classes supported on the blocks the
@@ -563,10 +471,10 @@ def is_morita_equivalence(functor) -> MoritaCertificate:
     """
     from .semisimple import decompose, object_class
 
-    if isinstance(functor, StarFunctor):
+    if not isinstance(functor.target, LazySaturation):
         functor = saturation_inclusion_of(functor)
 
-    sat = LazySaturation(functor.target_base)
+    sat = functor.target
     non_bijective = []
     for x, y in functor.source.pairs():
         basis = functor.source.hom_basis(x, y)
@@ -576,14 +484,11 @@ def is_morita_equivalence(functor) -> MoritaCertificate:
             if target_dim != 0:
                 non_bijective.append((x, y))
             continue
-        images = list(functor.images(x, y))
-        rows = word_dim(functor.target_base, fy.word)
-        cols = word_dim(functor.target_base, fx.word)
-        image_dim = MatrixSpan(rows, cols, images).dim
+        image_dim = MatrixSpan(sat.dim(fy), sat.dim(fx), list(functor.images(x, y))).dim
         if not (image_dim == len(basis) == target_dim):
             non_bijective.append((x, y))
 
-    decomp = decompose(functor.target_base)
+    decomp = decompose(sat.base)
     support = {}
     for x in functor.source.object_names():
         cls = object_class(decomp, functor.apply_object(x))

@@ -27,7 +27,6 @@ from fractions import Fraction
 from .completion import (
     LazySaturation,
     MoritaCertificate,
-    SaturationFunctor,
     canonical_sum,
     extend_along_iota,
     is_morita_equivalence,
@@ -246,12 +245,12 @@ def class_of_functor(f) -> HoMorphism:
 
     Accepts a functor A -> Sat(B) or a concrete functor A -> B (which
     is upgraded along the inclusion of B into its saturation)."""
-    if isinstance(f, StarFunctor):
-        f = saturation_inclusion_of(f)
-    if not isinstance(f, SaturationFunctor):
+    if not isinstance(f, StarFunctor):
         raise TypeError("expected a functor into a saturation")
+    if not isinstance(f.target, LazySaturation):
+        f = saturation_inclusion_of(f)
     da = decompose(f.source)
-    db = decompose(f.target_base)
+    db = decompose(f.target.base)
     ext = extend_along_iota(f)
     ka, kb = len(da.blocks), len(db.blocks)
     cols = []
@@ -265,7 +264,7 @@ def class_of_functor(f) -> HoMorphism:
 
 def representative_functor(
     h: HoMorphism, a: ConcreteStarCategory, b: ConcreteStarCategory
-) -> SaturationFunctor:
+) -> StarFunctor:
     """The canonical functor A -> Sat(B) in the class of h.
 
     Each copy of source block i inside an object is sent to the
@@ -363,12 +362,10 @@ def representative_functor(
     return saturation_functor(a, b, object_map, arrow_map)
 
 
-def compose_into_saturation(
-    g: SaturationFunctor, f: SaturationFunctor
-) -> SaturationFunctor:
+def compose_into_saturation(g: StarFunctor, f: StarFunctor) -> StarFunctor:
     """The composite A -> Sat(C) of f: A -> Sat(B) and g: B -> Sat(C),
     through the extension of g to Sat(B)."""
-    if f.target_base != g.source:
+    if f.target.base != g.source:
         raise ValueError("functors are not composable")
     ext = extend_along_iota(g)
     object_map = {
@@ -382,15 +379,15 @@ def compose_into_saturation(
         arrow_map[(x, y)] = [
             ext.apply_arrow(fx, fy, img) for img in f.images(x, y)
         ]
-    return saturation_functor(f.source, g.target_base, object_map, arrow_map)
+    return star_functor(f.source, g.target, object_map, arrow_map)
 
 
-def pointwise_sum(f: SaturationFunctor, g: SaturationFunctor) -> SaturationFunctor:
+def pointwise_sum(f: StarFunctor, g: StarFunctor) -> StarFunctor:
     """The pointwise direct sum x -> F(x) (+) G(x), realized on
     canonical sums; its class is the entrywise sum of the classes."""
-    if f.source != g.source or f.target_base != g.target_base:
+    if f.source != g.source or f.target != g.target:
         raise ValueError("functors with different ends cannot be summed")
-    a, b = f.source, f.target_base
+    a, b = f.source, f.target.base
     object_map = {}
     isometries = {}
     for x in a.object_names():

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .completion import (
-    ProjObject,
-    SaturationFunctor,
-    saturation_functor,
-    word_dim,
-)
+from .completion import LazySaturation, ProjObject
 from .homotopy import HoMorphism, ho_morphism
 from .presentations import (
     Arrow,
@@ -308,28 +303,34 @@ def proj_object_from_json(
 # functors
 
 
-def _functor_maps_to_json(object_map, arrow_map, object_value):
-    objects = {src: object_value(tgt) for src, tgt in object_map}
-    arrows = {}
-    for (src, tgt), mats in arrow_map:
-        arrows[_pair_key(src, tgt)] = [matrix_to_json(m) for m in mats]
-    return objects, arrows
-
-
 def functor_to_json(f: StarFunctor):
-    objects, arrows = _functor_maps_to_json(f.object_map, f.arrow_map, lambda t: t)
+    """A "functor" document, or a "saturation-functor" document when f
+    lands in a saturation (its target is then the saturation's base and
+    object images are saturation objects)."""
+    if isinstance(f.target, LazySaturation):
+        kind, target = "saturation-functor", f.target.base
+        objects = {src: proj_object_to_json(o) for src, o in f.object_map}
+    else:
+        kind, target = "functor", f.target
+        objects = dict(f.object_map)
+    arrows = {}
+    for (src, tgt), mats in f.arrow_map:
+        arrows[_pair_key(src, tgt)] = [matrix_to_json(m) for m in mats]
     return {
-        "kind": "functor",
+        "kind": kind,
         "source": category_to_json(f.source),
-        "target": category_to_json(f.target),
+        "target": category_to_json(target),
         "objects": objects,
         "arrows": arrows,
     }
 
 
-def _parse_arrow_images(doc, source, pointer, image_shape):
+saturation_functor_to_json = functor_to_json
+
+
+def _parse_arrow_images(doc, source, pointer, target, object_map):
     """The arrow-image lists of a functor document, keyed and sized by
-    the source's nonzero hom spans."""
+    the source's nonzero hom spans and the image objects."""
     arrows_doc = _as_dict(doc.get("arrows", {}), f"{pointer}.arrows")
     expected = {
         _pair_key(x, y): (x, y)
@@ -353,7 +354,7 @@ def _parse_arrow_images(doc, source, pointer, image_shape):
             here,
             f"one image per basis element is required ({len(basis)})",
         )
-        rows, cols = image_shape(x, y)
+        rows, cols = target.dim(object_map[y]), target.dim(object_map[x])
         arrow_map[(x, y)] = [
             matrix_from_json(m, rows, cols, f"{here}[{i}]")
             for i, m in enumerate(images_doc)
@@ -361,25 +362,25 @@ def _parse_arrow_images(doc, source, pointer, image_shape):
     return arrow_map
 
 
-def functor_from_json(doc, pointer: str = "$") -> StarFunctor:
+def _functor_from_json(doc, pointer, kind) -> StarFunctor:
     _require(
-        _kind_of(doc, pointer) == "functor",
+        _kind_of(doc, pointer) == kind,
         f"{pointer}.kind",
-        'kind "functor" is required',
+        f'kind "{kind}" is required',
     )
     source = category_from_json(_field(doc, "source", pointer), f"{pointer}.source")
-    target = category_from_json(_field(doc, "target", pointer), f"{pointer}.target")
+    base = category_from_json(_field(doc, "target", pointer), f"{pointer}.target")
+    target = LazySaturation(base) if kind == "saturation-functor" else base
     objects_doc = _as_dict(_field(doc, "objects", pointer), f"{pointer}.objects")
     object_map = {}
     for name in source.object_names():
         here = f"{pointer}.objects[{name!r}]"
         _require(name in objects_doc, here, "every source object needs an image")
-        image = _as_str(objects_doc[name], here)
-        _require(
-            target.has_object(image),
-            here,
-            "images must name objects of the target",
-        )
+        if kind == "saturation-functor":
+            image = proj_object_from_json(objects_doc[name], base, here)
+        else:
+            image = _as_str(objects_doc[name], here)
+            _require(base.has_object(image), here, "images must name objects of the target")
         object_map[name] = image
     for name in objects_doc:
         _require(
@@ -387,56 +388,16 @@ def functor_from_json(doc, pointer: str = "$") -> StarFunctor:
             f"{pointer}.objects[{name!r}]",
             "object keys must name objects of the source",
         )
-
-    def image_shape(x, y):
-        return target.dim(object_map[y]), target.dim(object_map[x])
-
-    arrow_map = _parse_arrow_images(doc, source, pointer, image_shape)
+    arrow_map = _parse_arrow_images(doc, source, pointer, target, object_map)
     return star_functor(source, target, object_map, arrow_map)
 
 
-def saturation_functor_to_json(f: SaturationFunctor):
-    objects, arrows = _functor_maps_to_json(
-        f.object_map, f.arrow_map, proj_object_to_json
-    )
-    return {
-        "kind": "saturation-functor",
-        "source": category_to_json(f.source),
-        "target": category_to_json(f.target_base),
-        "objects": objects,
-        "arrows": arrows,
-    }
+def functor_from_json(doc, pointer: str = "$") -> StarFunctor:
+    return _functor_from_json(doc, pointer, "functor")
 
 
-def saturation_functor_from_json(doc, pointer: str = "$") -> SaturationFunctor:
-    _require(
-        _kind_of(doc, pointer) == "saturation-functor",
-        f"{pointer}.kind",
-        'kind "saturation-functor" is required',
-    )
-    source = category_from_json(_field(doc, "source", pointer), f"{pointer}.source")
-    base = category_from_json(_field(doc, "target", pointer), f"{pointer}.target")
-    objects_doc = _as_dict(_field(doc, "objects", pointer), f"{pointer}.objects")
-    object_map = {}
-    for name in source.object_names():
-        here = f"{pointer}.objects[{name!r}]"
-        _require(name in objects_doc, here, "every source object needs an image")
-        object_map[name] = proj_object_from_json(objects_doc[name], base, here)
-    for name in objects_doc:
-        _require(
-            source.has_object(name),
-            f"{pointer}.objects[{name!r}]",
-            "object keys must name objects of the source",
-        )
-
-    def image_shape(x, y):
-        return (
-            word_dim(base, object_map[y].word),
-            word_dim(base, object_map[x].word),
-        )
-
-    arrow_map = _parse_arrow_images(doc, source, pointer, image_shape)
-    return saturation_functor(source, base, object_map, arrow_map)
+def saturation_functor_from_json(doc, pointer: str = "$") -> StarFunctor:
+    return _functor_from_json(doc, pointer, "saturation-functor")
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +733,6 @@ def to_document(value):
         return semisimple_form_to_json(value)
     if isinstance(value, StarFunctor):
         return functor_to_json(value)
-    if isinstance(value, SaturationFunctor):
-        return saturation_functor_to_json(value)
     if isinstance(value, Presentation):
         return presentation_to_json(value)
     if isinstance(value, HoMorphism):

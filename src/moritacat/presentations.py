@@ -356,28 +356,6 @@ def build_universal(kind: str, n: int = None) -> Presentation:
 # assignments (representations) and relation checking
 
 
-def _is_saturation(target) -> bool:
-    return isinstance(target, LazySaturation)
-
-
-def _obj_dim(target, obj) -> int:
-    if _is_saturation(target):
-        return word_dim(target.base, obj.word)
-    return target.dim(obj)
-
-
-def _obj_unit(target, obj) -> ExactMatrix:
-    if _is_saturation(target):
-        return obj.proj
-    return target.unit(obj)
-
-
-def _hom_contains(target, src_obj, tgt_obj, m) -> bool:
-    if _is_saturation(target):
-        return target.contains_arrow(src_obj, tgt_obj, m)
-    return target.hom_span(src_obj, tgt_obj).contains(m)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """A candidate representation of a presentation: an object of the
@@ -415,7 +393,7 @@ def evaluate_term(pres: Presentation, asg: Assignment, t: Term) -> ExactMatrix:
     if t.kind == "gen":
         return asg.matrix_of(t.name)
     if t.kind == "id":
-        return _obj_unit(asg.target, asg.object_of(t.name))
+        return asg.target.unit(asg.object_of(t.name))
     if t.kind == "adj":
         return evaluate_term(pres, asg, t.terms[0]).adjoint()
     if t.kind == "comp":
@@ -425,8 +403,8 @@ def evaluate_term(pres: Presentation, asg: Assignment, t: Term) -> ExactMatrix:
         return acc
     if t.kind == "sum":
         if not t.terms:
-            rows = _obj_dim(asg.target, asg.object_of(t.tgt))
-            cols = _obj_dim(asg.target, asg.object_of(t.src))
+            rows = asg.target.dim(asg.object_of(t.tgt))
+            cols = asg.target.dim(asg.object_of(t.src))
             return ExactMatrix.zeros(rows, cols)
         acc = evaluate_term(pres, asg, t.terms[0])
         for s in t.terms[1:]:
@@ -460,8 +438,8 @@ def check_representation(pres: Presentation, asg: Assignment) -> RepresentationR
         asg.object_of(v)  # raises KeyError when uncovered
     for a in pres.arrows:
         m = asg.matrix_of(a.name)
-        rows = _obj_dim(asg.target, asg.object_of(a.tgt))
-        cols = _obj_dim(asg.target, asg.object_of(a.src))
+        rows = asg.target.dim(asg.object_of(a.tgt))
+        cols = asg.target.dim(asg.object_of(a.src))
         if m.rows != rows or m.cols != cols:
             raise ShapeError(
                 f"arrow {a.name!r} needs a {rows}x{cols} matrix, "
@@ -469,9 +447,7 @@ def check_representation(pres: Presentation, asg: Assignment) -> RepresentationR
             )
     for a in pres.arrows:
         m = asg.matrix_of(a.name)
-        if not _hom_contains(
-            asg.target, asg.object_of(a.src), asg.object_of(a.tgt), m
-        ):
+        if not asg.target.contains_arrow(asg.object_of(a.src), asg.object_of(a.tgt), m):
             return RepresentationReport(
                 False, f"image of arrow {a.name!r} is outside the target hom space"
             )

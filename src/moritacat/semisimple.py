@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .completion import ProjObject, word_dim
+from .completion import ProjObject
 from .scalar import (
     ExactMatrix,
     GaussianRational,
@@ -825,84 +825,16 @@ def standard_realization(form: SemisimpleForm) -> ConcreteStarCategory:
 
 def witness_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
     """A Morita-equivalence witness A -> Sat(B) for categories with the
-    same number of blocks, matching blocks in order."""
-    from .completion import canonical_sum, saturation_functor
+    same number of blocks, matching blocks in order: the representative
+    functor of the identity class matrix."""
+    from .homotopy import HoMorphism, representative_functor
 
     da, db = decompose(a), decompose(b)
     if len(da.blocks) != len(db.blocks):
         raise ValueError("block counts differ; no witness exists")
     k = len(da.blocks)
-    units = [matrix_units(da, i) for i in range(k)]
-    min_projs = [minimal_projection(db, i) for i in range(k)]
-
-    # Slot layout of F(x): for each block i (in order), for each copy of
-    # x in block i, one summand equal to the block-i minimal projection.
-    def layout(x):
-        out = []
-        for i in range(k):
-            for copy in range(da.object_mult[x][i]):
-                out.append((i, copy))
-        return out
-
-    object_map = {}
-    sums = {}
-    for x in a.object_names():
-        summands = [min_projs[i] for i, _ in layout(x)]
-        obj, _ = canonical_sum(b, summands)
-        object_map[x] = obj
-        sums[x] = summands
-
-    def slot_offsets(x):
-        offs = [0]
-        for po in sums[x]:
-            offs.append(offs[-1] + word_dim(b, po.word))
-        return offs
-
-    # The image of the matrix unit (block i, copies: c_tgt <- c_src) is
-    # the block matrix with the minimal projection in the matching slot.
-    def unit_image(x, y, i, c_src, c_tgt):
-        rows = word_dim(b, object_map[y].word)
-        cols = word_dim(b, object_map[x].word)
-        offx, offy = slot_offsets(x), slot_offsets(y)
-        sx = layout(x).index((i, c_src))
-        sy = layout(y).index((i, c_tgt))
-        p = min_projs[i].proj
-        ents = [[_ZERO] * cols for _ in range(rows)]
-        for r in range(p.rows):
-            for c in range(p.cols):
-                ents[offy[sy] + r][offx[sx] + c] = p.entry(r, c)
-        return ExactMatrix.from_rows(ents) if rows and cols else ExactMatrix.zeros(rows, cols)
-
-    arrow_map = {}
-    for x, y in a.pairs():
-        basis = a.hom_basis(x, y)
-        if not basis:
-            continue
-        unit_elements = []
-        unit_images = []
-        for i in range(k):
-            mu = units[i]
-            for sa, (ya, ca) in enumerate(mu.slots):
-                if ya != y:
-                    continue
-                for sb, (xb, cb) in enumerate(mu.slots):
-                    if xb != x:
-                        continue
-                    unit_elements.append(mu.unit(sa, sb))
-                    unit_images.append(unit_image(x, y, i, cb, ca))
-        images = []
-        for belt in basis:
-            coeffs = span_membership(belt, unit_elements)
-            assert coeffs is not None, "hom element outside matrix-unit span"
-            acc = ExactMatrix.zeros(
-                word_dim(b, object_map[y].word), word_dim(b, object_map[x].word)
-            )
-            for ccoef, img in zip(coeffs, unit_images):
-                if not ccoef.is_zero():
-                    acc = acc + img.scale(ccoef)
-            images.append(acc)
-        arrow_map[(x, y)] = images
-    return saturation_functor(a, b, object_map, arrow_map)
+    identity = tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
+    return representative_functor(HoMorphism(da.form, db.form, identity), a, b)
 
 
 def are_morita_equivalent(a: ConcreteStarCategory, b: ConcreteStarCategory):

@@ -6,6 +6,14 @@ linear span of matrices closed under composition and conjugate-transpose.
 Hom bases are kept in canonical reduced-echelon form (of the flattened
 entry vectors), so equality of categories is structural equality.
 
+There is one functor type, ``StarFunctor``, from a concrete category to
+a target that is either a concrete category (objects are names) or the
+lazy saturation of one (objects are ``ProjObject``s).  Both targets
+answer the same small interface: ``has_object``, ``dim``, ``unit``,
+``hom_basis``/``hom_span``/``hom_dim``, ``contains_arrow`` and
+``object_problems``.  Construction, application, validation and
+composition of functors use only that interface.
+
 Each object carries a "unit": the matrix acting as its identity.  For
 ordinary categories the unit is the identity matrix.  Allowing a
 projection as the unit makes it possible to materialize full
@@ -88,6 +96,12 @@ class ConcreteStarCategory:
 
     def hom_dim(self, src: str, tgt: str) -> int:
         return len(self.hom_basis(src, tgt))
+
+    def contains_arrow(self, src: str, tgt: str, m: ExactMatrix) -> bool:
+        return self.hom_span(src, tgt).contains(m)
+
+    def object_problems(self, name: str):
+        return [] if self.has_object(name) else [f"unknown object {name!r}"]
 
     def pairs(self):
         for a in self.objects:
@@ -294,24 +308,27 @@ def disjoint_union(
 
 @dataclass(frozen=True)
 class StarFunctor:
-    """A *-functor between concrete categories.
+    """A *-functor from a concrete category to a concrete category or to
+    the saturation of one.
 
     The arrow action is recorded as the images of each canonical hom
-    basis element of the source, pair by pair.
+    basis element of the source, pair by pair: ambient matrices between
+    the image objects' spaces (word spaces for a saturation target).
     """
 
     source: ConcreteStarCategory
-    target: ConcreteStarCategory
+    target: object  # ConcreteStarCategory or completion.LazySaturation
     object_map: tuple  # sorted tuple of (source object, target object)
     arrow_map: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
 
-    def apply_object(self, name: str) -> str:
+    def apply_object(self, name: str):
         for s, t in self.object_map:
             if s == name:
                 return t
         raise KeyError(f"functor has no value on object {name!r}")
 
-    def _images(self, src: str, tgt: str):
+    def images(self, src: str, tgt: str):
+        """The stored images of the canonical basis of Hom(src, tgt)."""
         for pair, mats in self.arrow_map:
             if pair == (src, tgt):
                 return mats
@@ -325,7 +342,7 @@ class StarFunctor:
             raise ValueError("matrix is not in the source hom span")
         fs, ft = self.apply_object(src), self.apply_object(tgt)
         acc = ExactMatrix.zeros(self.target.dim(ft), self.target.dim(fs))
-        for c, img in zip(coeffs, self._images(src, tgt)):
+        for c, img in zip(coeffs, self.images(src, tgt)):
             if not c.is_zero():
                 acc = acc + img.scale(c)
         return acc
@@ -338,10 +355,9 @@ def star_functor(source, target, object_map, arrow_map) -> StarFunctor:
     arrow_map: {(src, tgt) -> [image of each canonical basis element]}
     Pairs with zero hom space may be omitted.
     """
-    om = tuple(sorted(object_map.items()))
-    mapped = set(object_map)
+    om = tuple(sorted(object_map.items(), key=lambda kv: kv[0]))
     for name in source.object_names():
-        if name not in mapped:
+        if name not in object_map:
             raise KeyError(f"object {name!r} has no image")
         if not target.has_object(object_map[name]):
             raise KeyError(f"image object {object_map[name]!r} does not exist")
@@ -358,9 +374,9 @@ def star_functor(source, target, object_map, arrow_map) -> StarFunctor:
             raise ValueError(
                 f"hom({x}, {y}) needs {len(basis)} images, got {len(images)}"
             )
-        fx, fy = object_map[x], object_map[y]
+        rows, cols = target.dim(object_map[y]), target.dim(object_map[x])
         for img in images:
-            if img.rows != target.dim(fy) or img.cols != target.dim(fx):
+            if img.rows != rows or img.cols != cols:
                 raise ShapeError(f"image for hom({x}, {y}) has the wrong shape")
         am[(x, y)] = images
     return StarFunctor(source, target, om, tuple(sorted(am.items())))
@@ -380,24 +396,31 @@ def identity_functor(cat: ConcreteStarCategory) -> StarFunctor:
 
 
 def validate_functor(f: StarFunctor):
-    """All ways in which f fails to be a *-functor; empty list if valid."""
+    """All ways in which f fails to be a *-functor; empty list if valid.
+
+    Image objects are checked first, through the target's
+    ``object_problems``; the functor laws are checked only when every
+    image object is sound."""
     problems = []
     src, tgt = f.source, f.target
+    for x in src.object_names():
+        problems.extend(
+            f"image of {x}: {p}" for p in tgt.object_problems(f.apply_object(x))
+        )
+    if problems:
+        return problems
+
     target_spans = {}
-
-    def tspan(x, y):
-        if (x, y) not in target_spans:
-            target_spans[(x, y)] = tgt.hom_span(x, y)
-        return target_spans[(x, y)]
-
     for x, y in src.pairs():
         basis = src.hom_basis(x, y)
         if not basis:
             continue
         fx, fy = f.apply_object(x), f.apply_object(y)
-        for b in basis:
-            img = f.apply(x, y, b)
-            if not tspan(fx, fy).contains(img):
+        if (fx, fy) not in target_spans:
+            target_spans[(fx, fy)] = tgt.hom_span(fx, fy)
+        span = target_spans[(fx, fy)]
+        for b, img in zip(basis, f.images(x, y)):
+            if not span.contains(img):
                 problems.append(f"image of a hom({x}, {y}) element leaves the target span")
             if f.apply(y, x, b.adjoint()) != img.adjoint():
                 problems.append(f"involution not preserved on hom({x}, {y})")
@@ -410,11 +433,9 @@ def validate_functor(f: StarFunctor):
     for x in src.object_names():
         for y in src.object_names():
             for z in src.object_names():
-                for a in src.hom_basis(x, y):
-                    for b in src.hom_basis(y, z):
-                        lhs = f.apply(x, z, b @ a)
-                        rhs = f.apply(y, z, b) @ f.apply(x, y, a)
-                        if lhs != rhs:
+                for a, fa in zip(src.hom_basis(x, y), f.images(x, y)):
+                    for b, fb in zip(src.hom_basis(y, z), f.images(y, z)):
+                        if f.apply(x, z, b @ a) != fb @ fa:
                             problems.append(
                                 f"composition not preserved on hom({x},{y}) x hom({y},{z})"
                             )
@@ -426,21 +447,16 @@ def is_valid_functor(f: StarFunctor) -> bool:
 
 
 def compose_functors(g: StarFunctor, f: StarFunctor) -> StarFunctor:
-    """g after f."""
+    """g after f, for f landing in a concrete category: g's source."""
     if f.target is not g.source and f.target != g.source:
         raise ValueError("functors are not composable")
     object_map = {
         x: g.apply_object(f.apply_object(x)) for x in f.source.object_names()
     }
     arrow_map = {}
-    for x, y in f.source.pairs():
-        basis = f.source.hom_basis(x, y)
-        if not basis:
-            continue
+    for (x, y), images in f.arrow_map:
         fx, fy = f.apply_object(x), f.apply_object(y)
-        arrow_map[(x, y)] = [
-            g.apply(fx, fy, f.apply(x, y, b)) for b in basis
-        ]
+        arrow_map[(x, y)] = [g.apply(fx, fy, img) for img in images]
     return star_functor(f.source, g.target, object_map, arrow_map)
 
 
@@ -449,12 +465,9 @@ def hom_component_bijective(f: StarFunctor, x: str, y: str) -> bool:
     basis = f.source.hom_basis(x, y)
     fx, fy = f.apply_object(x), f.apply_object(y)
     target_dim = f.target.hom_dim(fx, fy)
-    images = [f.apply(x, y, b) for b in basis]
-    if not images:
+    if not basis:
         return target_dim == 0
-    image_span = MatrixSpan(
-        f.target.dim(fy), f.target.dim(fx), images
-    )
+    image_span = MatrixSpan(f.target.dim(fy), f.target.dim(fx), list(f.images(x, y)))
     return image_span.dim == len(basis) == target_dim
 
 

@@ -24,7 +24,6 @@ from moritacat.completion import (
     identity_proj_object,
     iota,
     is_morita_equivalence,
-    validate_saturation_functor,
 )
 from moritacat.generate import (
     one_object_forms,
@@ -345,7 +344,7 @@ def test_04_hom_normal_form():
         reps = []
         for h in elems:
             rep = representative_functor(h, a, b)
-            assert validate_saturation_functor(rep) == []
+            assert validate_functor(rep) == []
             image = rep.apply_object("x")
             assert len(image.word) <= 3
             assert class_of_functor(rep) == h
@@ -599,7 +598,7 @@ def test_09_k0_ring():
     rep = representative_functor(
         ho_morphism(t_form, form, mc.mult), t_std, f_std
     )
-    assert validate_saturation_functor(rep) == []
+    assert validate_functor(rep) == []
     assert class_of_functor(rep).mult == mc.mult
     return f"{products} products pointwise on Z^3 with unit (1,1,1); class realized by a functor"
 

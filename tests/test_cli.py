@@ -16,6 +16,7 @@ import pytest
 import moritacat
 from moritacat import jsonio
 from moritacat.cli import main
+from moritacat.completion import iota
 from moritacat.generate import planted_range_square, random_category
 from moritacat.homotopy import ho_morphism
 from moritacat.presentations import build_universal
@@ -50,6 +51,20 @@ TWO_BLOCKS_DOC = {
     "kind": "semisimple",
     "blocks": ["b1", "b2"],
     "objects": [{"name": "x", "mult": [1, 1]}],
+}
+
+# The upper-triangular 2x2 algebra: closed under composition but not
+# under the adjoint, so not a *-category.
+UPPER_TRIANGULAR_DOC = {
+    "kind": "concrete",
+    "objects": [{"name": "x", "dim": 2}],
+    "homs": {
+        "x->x": [
+            [["1", "0"], ["0", "0"]],
+            [["0", "1"], ["0", "0"]],
+            [["0", "0"], ["0", "1"]],
+        ]
+    },
 }
 
 THREE_BLOCKS_DOC = {
@@ -140,6 +155,13 @@ class TestDecompose:
         assert json.loads(captured.out)["polynomial"] == "t^2 - 2"
 
 
+    def test_not_adjoint_closed_exits_2_with_violations(self, write, capsys):
+        path = write("upper.json", UPPER_TRIANGULAR_DOC)
+        assert run_cli("decompose", path, "--json") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(p.startswith("[adjoint]") for p in report["problems"])
+
+
 # ---------------------------------------------------------------------------
 # saturate
 
@@ -202,6 +224,31 @@ class TestMorita:
         assert "block count 1 ≠ 2" in capsys.readouterr().out
 
 
+    def test_not_adjoint_closed_exits_2_with_violations(self, write, capsys):
+        a = write("upper.json", UPPER_TRIANGULAR_DOC)
+        b = write("f.json", GROUND_DOC)
+        assert run_cli("morita", a, b, "--json") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"].startswith(a)
+        assert any(p.startswith("[adjoint]") for p in report["problems"])
+
+    def test_missing_witness_is_not_called_impossible(self, write, capsys):
+        # The 91st draw has a block of multiplicity two and rank two, on
+        # which the exact witness construction finds no functor.
+        rng = random.Random(11)
+        for _ in range(91):
+            drawn = random_category(
+                rng, max_blocks=2, max_mult=2, max_objects=2, max_rank=2
+            )
+        path = write("x.json", jsonio.category_to_json(drawn.category))
+        assert run_cli("morita", path, path, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["equivalent"] is True
+        assert report["witness"] is None
+        assert "no explicit witness functor exists" not in report["note"]
+        assert "Morita equivalent" in report["note"]
+
+
 # ---------------------------------------------------------------------------
 # hom and compose
 
@@ -220,6 +267,12 @@ class TestHomCompose:
         assert run_cli("hom", a, a, "--json", "--bound", "3") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bounded_elements"] == 4  # 0, 1, 2, 3
+
+    def test_no_seed_and_bound_only_on_hom_and_picard(self, write, capsys):
+        path = write("f.json", GROUND_DOC)
+        assert run_cli("k0", path, "--bound", "3") == 2
+        assert run_cli("picard", path, "--verify", "--bound", "1") == 0
+        assert run_cli("k0", path, "--seed", "1") == 2
 
     def test_compose_matrix_product(self, write, capsys):
         point = SemisimpleForm(("b1",), (("x", (1,)),))
@@ -396,6 +449,23 @@ class TestProbesAndLifts:
         sq_path = write("sq.json", square)
         assert run_cli("lift-check", f_path, sq_path) == 2
         assert "commute" in capsys.readouterr().err
+
+
+    def test_saturation_functor_rejected_with_2(self, write, capsys):
+        f_path = write("iota.json", jsonio.functor_to_json(iota(ground_category())))
+        square = {
+            "kind": "square",
+            "family": "R",
+            "n": 1,
+            "top": {"objects": {"o1": "x"}, "arrows": {"p1_1": [["1"]]}},
+            "bottom": {
+                "objects": {"o1": "x", "r(1)": "x"},
+                "arrows": {"s1": [["1"]]},
+            },
+        }
+        sq_path = write("sq.json", square)
+        assert run_cli("lift-check", f_path, sq_path) == 2
+        assert 'a "functor" document is required' in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from moritacat.completion import (
     materialize_full_subcategory,
     saturation_functor,
     validate_proj_object,
-    validate_saturation_functor,
     word_dim,
     word_name,
     word_unit,
     zero_proj_object,
 )
-from moritacat.scalar import ExactMatrix, GaussianRational, matrix
+from moritacat.scalar import ExactMatrix, GaussianRational, ShapeError, matrix
 from moritacat.starcat import (
     coproduct_of_grounds,
     ground_category,
@@ -32,6 +31,7 @@ from moritacat.starcat import (
     is_valid_functor,
     matrix_category,
     star_category,
+    validate_functor,
 )
 
 E11 = matrix([[1, 0], [0, 0]])
@@ -226,7 +226,7 @@ def test_materialized_subcategory_is_a_valid_unit_bearing_category():
 def test_iota_is_a_valid_fully_faithful_functor():
     for base in (matrix_category(2), diag_category(), coproduct_of_grounds(3)):
         emb = iota(base)
-        assert validate_saturation_functor(emb) == []
+        assert validate_functor(emb) == []
         sat = LazySaturation(base)
         for x in base.object_names():
             for y in base.object_names():
@@ -245,7 +245,33 @@ def test_saturation_functor_validation_catches_broken_images():
         {"x": ProjObject(("x",), E11)},
         {("x", "x"): [E12]},
     )
-    assert validate_saturation_functor(bad)
+    assert validate_functor(bad)
+
+
+def test_saturation_functor_validation_reports_a_bad_image_object():
+    # E12 is in End(x) of M2 but squares to zero, so (x, E12) is not an
+    # object of the saturation; validation stops at the image object.
+    bad = saturation_functor(
+        ground_category(),
+        matrix_category(2),
+        {"x": ProjObject(("x",), E12)},
+        {("x", "x"): [E12]},
+    )
+    problems = validate_functor(bad)
+    assert "image of x: projection is not idempotent" in problems
+    assert all(p.startswith("image of x: ") for p in problems)
+
+
+def test_saturation_functor_checks_image_letters_and_shapes():
+    base, target = ground_category(), matrix_category(2)
+    with pytest.raises(KeyError):
+        saturation_functor(
+            base, target, {"x": ProjObject(("ghost",), E11)}, {("x", "x"): [E11]}
+        )
+    with pytest.raises(ShapeError):
+        saturation_functor(
+            base, target, {"x": ProjObject(("x",), E11)}, {("x", "x"): [matrix([[1]])]}
+        )
 
 
 def test_extension_agrees_with_the_functor_on_one_letter_words():
@@ -257,7 +283,7 @@ def test_extension_agrees_with_the_functor_on_one_letter_words():
         {"x": ProjObject(("x",), E11)},
         {("x", "x"): [E11]},
     )
-    assert validate_saturation_functor(f) == []
+    assert validate_functor(f) == []
     ext = extend_along_iota(f)
     assert isinstance(ext, ExtendedFunctor)
     one = identity_proj_object(base, "x")

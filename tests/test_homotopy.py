@@ -11,7 +11,6 @@ from moritacat.completion import (
     ProjObject,
     iota,
     saturation_functor,
-    validate_saturation_functor,
     zero_proj_object,
 )
 from moritacat.homotopy import (
@@ -43,6 +42,7 @@ from moritacat.starcat import (
     identity_functor,
     matrix_category,
     star_category,
+    validate_functor,
     zero_category,
 )
 
@@ -277,7 +277,7 @@ REPRESENTATIVE_CASES = [
 def test_representative_roundtrip(src_form, src, tgt, rows):
     h = ho_morphism(src_form, decompose(tgt).form, rows)
     rep = representative_functor(h, src, tgt)
-    assert validate_saturation_functor(rep) == []
+    assert validate_functor(rep) == []
     assert class_of_functor(rep) == h
 
 
@@ -306,7 +306,7 @@ def test_doubling_after_tripling_is_sextupling():
         ho_morphism(F_GROUND, F_GROUND, [[2]]), GROUND, GROUND
     )
     composite = compose_into_saturation(double, triple)
-    assert validate_saturation_functor(composite) == []
+    assert validate_functor(composite) == []
     assert class_of_functor(composite).mult == ((6,),)
 
 
@@ -335,7 +335,7 @@ def test_classification_is_functorial(a, b, c, f_rows, g_rows):
     rep_f = representative_functor(f, a, b)
     rep_g = representative_functor(g, b, c)
     composite = compose_into_saturation(rep_g, rep_f)
-    assert validate_saturation_functor(composite) == []
+    assert validate_functor(composite) == []
     assert class_of_functor(composite) == ho_compose(g, f)
 
 
@@ -358,7 +358,7 @@ def test_pointwise_sum_adds_classes():
         ho_morphism(F_GROUND, F_GROUND, [[1]]), GROUND, GROUND
     )
     total = pointwise_sum(one, one)
-    assert validate_saturation_functor(total) == []
+    assert validate_functor(total) == []
     assert class_of_functor(total).mult == ((2,),)
 
 
@@ -380,7 +380,7 @@ def test_pointwise_sum_matches_ho_add_generally():
         representative_functor(f, GROUND, TWO_POINTS),
         representative_functor(g, GROUND, TWO_POINTS),
     )
-    assert validate_saturation_functor(rep) == []
+    assert validate_functor(rep) == []
     assert class_of_functor(rep) == ho_add(f, g)
 
 

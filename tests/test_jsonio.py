@@ -14,7 +14,6 @@ from moritacat.completion import (
     ProjObject,
     iota,
     validate_proj_object,
-    validate_saturation_functor,
 )
 from moritacat.generate import (
     planted_range_square,
@@ -331,7 +330,7 @@ class TestSaturationFunctorDocuments:
         doc = saturation_functor_to_json(f)
         parsed = saturation_functor_from_json(doc)
         assert parsed == f
-        assert not validate_saturation_functor(parsed)
+        assert not validate_functor(parsed)
 
     def test_round_trip_morita_witness(self):
         ok, witness = are_morita_equivalent(matrix_category(2), ground_category())

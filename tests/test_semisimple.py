@@ -11,7 +11,6 @@ from moritacat.completion import (
     identity_proj_object,
     is_morita_equivalence,
     iota,
-    validate_saturation_functor,
     zero_proj_object,
 )
 from moritacat.scalar import ExactMatrix, kron, matrix
@@ -33,6 +32,7 @@ from moritacat.starcat import (
     is_valid_category,
     matrix_category,
     star_category,
+    validate_functor,
     zero_category,
 )
 
@@ -277,7 +277,7 @@ def test_matrix_algebras_of_different_sizes_are_equivalent():
     a, b = matrix_category(2), matrix_category(3, name="y")
     same, wit = are_morita_equivalent(a, b)
     assert same and wit is not None
-    assert validate_saturation_functor(wit) == []
+    assert validate_functor(wit) == []
     cert = is_morita_equivalence(wit)
     assert cert.ok, str(cert)
 
@@ -311,7 +311,7 @@ def test_witness_for_categories_with_several_objects():
     b = coproduct_of_grounds(2)
     same, wit = are_morita_equivalent(a, b)
     assert same and wit is not None
-    assert validate_saturation_functor(wit) == []
+    assert validate_functor(wit) == []
     assert is_morita_equivalence(wit).ok
     # x meets both blocks, so its image is a genuine two-letter sum.
     assert wit.apply_object("x").word == ("x1", "x2")
