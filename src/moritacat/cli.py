@@ -20,7 +20,6 @@ on mathematical answers:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -44,7 +43,6 @@ from .presentations import (
     sum_lift,
 )
 from .semisimple import (
-    NotSemisimple,
     NotSplitOverBaseField,
     SemisimpleForm,
     are_morita_equivalent,
@@ -66,12 +64,7 @@ EXIT_NOT_SPLIT = 3
 
 
 class CommandError(Exception):
-    """An invalid input or ill-posed question; maps to exit code 2.
-    ``problems``, when given, lists the violations behind the refusal."""
-
-    def __init__(self, message, problems=None):
-        super().__init__(message)
-        self.problems = problems
+    """An invalid input or ill-posed question; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,32 +103,13 @@ def _as_concrete(value, path) -> ConcreteStarCategory:
     )
 
 
-@contextlib.contextmanager
-def _refusing_invalid(*inputs):
-    """Refuse, as invalid input, a NotSemisimple raised while working on
-    the given (path, concrete category) inputs, with the violations of
-    the first input that validate_category rejects.  Validation runs only
-    on this failure path, so valid inputs pay nothing for it."""
-    try:
-        yield
-    except NotSemisimple as exc:
-        for path, cat in inputs:
-            problems = [str(v) for v in validate_category(cat)]
-            if problems:
-                raise CommandError(
-                    f"{path}: not a valid *-category ({exc})", problems
-                ) from None
-        raise
-
-
 def _as_form(value, path) -> SemisimpleForm:
     """A semisimple form from a category document (concrete categories
     are decomposed)."""
     if isinstance(value, SemisimpleForm):
         return value
     if isinstance(value, ConcreteStarCategory):
-        with _refusing_invalid((path, value)):
-            return decompose(value).form
+        return decompose(value).form
     raise CommandError(
         f"{path}: a category document is required (concrete or semisimple)"
     )
@@ -170,8 +144,6 @@ def _emit(args, doc, lines):
 
 def _emit_error(args, message, extra=None):
     print(f"error: {message}", file=sys.stderr)
-    for problem in (extra or {}).get("problems", ()):
-        print(f"  - {problem}", file=sys.stderr)
     if args is not None and getattr(args, "json", False):
         doc = {"error": message}
         if extra:
@@ -219,8 +191,7 @@ def cmd_decompose(args):
         doc = jsonio.semisimple_form_to_json(form)
         lines = [f"already semisimple: {form.k} block(s)"]
     elif isinstance(value, ConcreteStarCategory):
-        with _refusing_invalid((args.file, value)):
-            d = decompose(value)
+        d = decompose(value)
         form = d.form
         doc = jsonio.semisimple_form_to_json(form)
         doc["unit_ranks"] = list(d.unit_ranks)
@@ -306,8 +277,7 @@ def cmd_saturate(args):
 def cmd_morita(args):
     a = _load_concrete(args.a)
     b = _load_concrete(args.b)
-    with _refusing_invalid((args.a, a), (args.b, b)):
-        equivalent, witness = are_morita_equivalent(a, b)
+    equivalent, witness = are_morita_equivalent(a, b)
     if not equivalent:
         reason = f"block count {decompose(a).form.k} ≠ {decompose(b).form.k}"
         doc = {"equivalent": False, "reason": reason}
@@ -519,8 +489,7 @@ def cmd_pushout(args):
 
 def cmd_fibrancy_probe(args):
     cat = _load_concrete(args.file)
-    with _refusing_invalid((args.file, cat)):
-        report = fibrancy_probe(cat)
+    report = fibrancy_probe(cat)
     doc = {
         "target": report.target_kind,
         "verdict": report.verdict,
@@ -779,8 +748,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CommandError as exc:
-        extra = None if exc.problems is None else {"problems": exc.problems}
-        _emit_error(args, str(exc), extra=extra)
+        _emit_error(args, str(exc))
         return EXIT_INVALID
     except NotSplitOverBaseField as exc:
         _emit_error(

@@ -341,6 +341,9 @@ def materialize_full_subcategory(sat: LazySaturation, named_objects):
 
 # --- functors into a saturation ---------------------------------------
 
+# The old class name, kept only because bench/spans.py looks it up.  The
+# traced run therefore wraps StarFunctor.apply twice (a starcat and a
+# completion span per call); drop this name with that table entry.
 SaturationFunctor = StarFunctor
 
 

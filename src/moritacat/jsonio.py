@@ -325,8 +325,6 @@ def functor_to_json(f: StarFunctor):
     }
 
 
-saturation_functor_to_json = functor_to_json
-
 
 def _parse_arrow_images(doc, source, pointer, target, object_map):
     """The arrow-image lists of a functor document, keyed and sized by

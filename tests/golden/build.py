@@ -94,7 +94,7 @@ def documents():
         "right.json": jsonio.category_to_json(right.category),
         "id_m2.json": jsonio.functor_to_json(identity_functor(m2)),
         "bad_functor.json": jsonio.functor_to_json(bad_functor),
-        "iota_m2.json": jsonio.saturation_functor_to_json(iota(m2)),
+        "iota_m2.json": jsonio.functor_to_json(iota(m2)),
         "obj_x2.json": {"word": ["x", "x"], "proj": [["1", "0"], ["0", "0"]]},
         "obj_x.json": {"word": ["x"], "proj": [["1"]]},
         "obj_xx.json": {"word": ["x", "x"], "proj": [["1", "0"], ["0", "1"]]},

@@ -53,20 +53,6 @@ TWO_BLOCKS_DOC = {
     "objects": [{"name": "x", "mult": [1, 1]}],
 }
 
-# The upper-triangular 2x2 algebra: closed under composition but not
-# under the adjoint, so not a *-category.
-UPPER_TRIANGULAR_DOC = {
-    "kind": "concrete",
-    "objects": [{"name": "x", "dim": 2}],
-    "homs": {
-        "x->x": [
-            [["1", "0"], ["0", "0"]],
-            [["0", "1"], ["0", "0"]],
-            [["0", "0"], ["0", "1"]],
-        ]
-    },
-}
-
 THREE_BLOCKS_DOC = {
     "kind": "semisimple",
     "blocks": ["b1", "b2", "b3"],
@@ -155,13 +141,6 @@ class TestDecompose:
         assert json.loads(captured.out)["polynomial"] == "t^2 - 2"
 
 
-    def test_not_adjoint_closed_exits_2_with_violations(self, write, capsys):
-        path = write("upper.json", UPPER_TRIANGULAR_DOC)
-        assert run_cli("decompose", path, "--json") == 2
-        report = json.loads(capsys.readouterr().out)
-        assert any(p.startswith("[adjoint]") for p in report["problems"])
-
-
 # ---------------------------------------------------------------------------
 # saturate
 
@@ -223,14 +202,6 @@ class TestMorita:
         assert run_cli("morita", a, b) == 1
         assert "block count 1 ≠ 2" in capsys.readouterr().out
 
-
-    def test_not_adjoint_closed_exits_2_with_violations(self, write, capsys):
-        a = write("upper.json", UPPER_TRIANGULAR_DOC)
-        b = write("f.json", GROUND_DOC)
-        assert run_cli("morita", a, b, "--json") == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["error"].startswith(a)
-        assert any(p.startswith("[adjoint]") for p in report["problems"])
 
     def test_missing_witness_is_not_called_impossible(self, write, capsys):
         # The 91st draw has a block of multiplicity two and rank two, on

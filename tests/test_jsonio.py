@@ -42,7 +42,6 @@ from moritacat.jsonio import (
     proj_object_from_json,
     proj_object_to_json,
     saturation_functor_from_json,
-    saturation_functor_to_json,
     semisimple_form_from_json,
     semisimple_form_to_json,
     square_from_json,
@@ -327,7 +326,7 @@ class TestSaturationFunctorDocuments:
     def test_round_trip_iota(self):
         cat = matrix_category(2)
         f = iota(cat)
-        doc = saturation_functor_to_json(f)
+        doc = functor_to_json(f)
         parsed = saturation_functor_from_json(doc)
         assert parsed == f
         assert not validate_functor(parsed)
@@ -335,13 +334,13 @@ class TestSaturationFunctorDocuments:
     def test_round_trip_morita_witness(self):
         ok, witness = are_morita_equivalent(matrix_category(2), ground_category())
         assert ok and witness is not None
-        doc = json.loads(dumps(saturation_functor_to_json(witness)))
+        doc = json.loads(dumps(functor_to_json(witness)))
         assert saturation_functor_from_json(doc) == witness
 
     def test_object_image_must_be_valid_over_target(self):
         cat = ground_category()
         f = iota(cat)
-        doc = saturation_functor_to_json(f)
+        doc = functor_to_json(f)
         doc["objects"]["x"]["word"] = ["ghost"]
         with pytest.raises(SchemaError):
             saturation_functor_from_json(doc)
