@@ -114,7 +114,7 @@ def zero_proj_object() -> ProjObject:
 class LazySaturation:
     """Hom spaces of the saturation of a base category, memoized.
 
-    The cache is write-once: a computed hom basis is never replaced, so
+    The cache is write-once: a computed hom span is never replaced, so
     concurrent readers may race only on who computes first.
     """
 
@@ -152,46 +152,35 @@ class LazySaturation:
         return validate_proj_object(self.base, obj)
 
     def block_generators(self, src: ProjObject, tgt: ProjObject):
-        """Uncompressed generators of the block-matrix space between the
-        two words."""
+        """Compressed generators of Hom(src, tgt): tgt.proj[:, J_i] @ b @
+        src.proj[I_j, :] for each basis arrow b from letter j to letter i,
+        which is tgt.proj @ g @ src.proj for b placed alone in block (i, j)."""
         base = self.base
-        gens = []
-        for i, yi in enumerate(tgt.word):
-            for j, xj in enumerate(src.word):
-                for b in base.hom_basis(xj, yi):
-                    grid = [
-                        [
-                            b
-                            if (ii == i and jj == j)
-                            else ExactMatrix.zeros(base.dim(yy), base.dim(xx))
-                            for jj, xx in enumerate(src.word)
-                        ]
-                        for ii, yy in enumerate(tgt.word)
-                    ]
-                    gens.append(from_blocks(grid))
-        return gens
+        r = word_offsets(base, tgt.word)
+        c = word_offsets(base, src.word)
+        columns = [tgt.proj.block(0, r[i], r[-1], r[i + 1]) for i in range(len(tgt.word))]
+        rows = [src.proj.block(c[j], 0, c[j + 1], c[-1]) for j in range(len(src.word))]
+        return [
+            columns[i] @ b @ rows[j]
+            for i, yi in enumerate(tgt.word)
+            for j, xj in enumerate(src.word)
+            for b in base.hom_basis(xj, yi)
+        ]
 
     def hom_basis(self, src: ProjObject, tgt: ProjObject):
-        """Canonical echelon basis of Hom(src, tgt) in the saturation."""
+        """Canonical echelon basis of Hom(src, tgt) in the saturation; the
+        memo keeps its span, which ``hom_span`` hands out as it is."""
         key = (src.word, src.proj, tgt.word, tgt.proj)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        n_rows = word_dim(self.base, tgt.word)
-        n_cols = word_dim(self.base, src.word)
-        if n_rows == 0 or n_cols == 0:
-            basis = ()
-        else:
-            compressed = [
-                tgt.proj @ g @ src.proj
-                for g in self.block_generators(src, tgt)
-            ]
-            basis = MatrixSpan(n_rows, n_cols, compressed).matrices
-        with self._lock:
-            return self._cache.setdefault(key, basis)
+        span = self._cache.get(key)
+        if span is None:
+            span = MatrixSpan(self.dim(tgt), self.dim(src), self.block_generators(src, tgt))
+            with self._lock:
+                span = self._cache.setdefault(key, span)
+        return span.matrices
 
     def hom_span(self, src: ProjObject, tgt: ProjObject) -> MatrixSpan:
-        return MatrixSpan(self.dim(tgt), self.dim(src), list(self.hom_basis(src, tgt)))
+        self.hom_basis(src, tgt)
+        return self._cache[(src.word, src.proj, tgt.word, tgt.proj)]
 
     def hom_dim(self, src: ProjObject, tgt: ProjObject) -> int:
         return len(self.hom_basis(src, tgt))
@@ -379,7 +368,9 @@ class ExtendedFunctor:
     It acts blockwise: a word is sent to the concatenation of the image
     words, a projection (or any block matrix) to the block matrix of the
     images of its blocks.  Canonical sums go to canonical sums and
-    canonical ranges to canonical ranges by construction.
+    canonical ranges to canonical ranges by construction, and on
+    one-letter words with their units it agrees with the functor itself
+    (extension o iota = functor on the nose).
     """
 
     def __init__(self, functor: StarFunctor):
@@ -417,15 +408,6 @@ class ExtendedFunctor:
                 )
             grid.append(row)
         return from_blocks(grid)
-
-
-def extend_along_iota(functor: StarFunctor) -> ExtendedFunctor:
-    """Extend A -> Sat(C) to the saturation of A.
-
-    The extension agrees with the original functor on one-letter words
-    with their units, i.e. extension o iota = functor on the nose.
-    """
-    return ExtendedFunctor(functor)
 
 
 # --- the Morita-equivalence decision ----------------------------------
@@ -466,11 +448,16 @@ def is_morita_equivalence(functor) -> MoritaCertificate:
 
     Accepts a functor into a concrete category (upgraded along the
     inclusion of its target into the saturation) or into a saturation.
-    The decision is: full
-    faithfulness, plus every block of the (base of the) target
-    supported by some image object.  Closing the image under sums and
-    ranges reaches exactly the classes supported on the blocks the
-    image touches, so block support is the whole closure condition.
+    The decision is: full faithfulness, plus every block of the (base
+    of the) target supported by some image object.  Closing the image
+    under sums and ranges reaches exactly the classes supported on the
+    blocks the image touches, so block support is the whole closure
+    condition.
+
+    No target hom space is built: dim Hom(Fx, Fy) is the dot product of
+    the block classes of Fx and Fy, which holds for valid saturation
+    objects only, so an image object with ``object_problems`` raises
+    ``ValueError``.  The rank of the arrow images is computed exactly.
     """
     from .semisimple import decompose, object_class
 
@@ -478,27 +465,27 @@ def is_morita_equivalence(functor) -> MoritaCertificate:
         functor = saturation_inclusion_of(functor)
 
     sat = functor.target
-    non_bijective = []
-    for x, y in functor.source.pairs():
-        basis = functor.source.hom_basis(x, y)
-        fx, fy = functor.apply_object(x), functor.apply_object(y)
-        target_dim = sat.hom_dim(fx, fy)
-        if not basis:
-            if target_dim != 0:
-                non_bijective.append((x, y))
-            continue
-        image_dim = MatrixSpan(sat.dim(fy), sat.dim(fx), list(functor.images(x, y))).dim
-        if not (image_dim == len(basis) == target_dim):
-            non_bijective.append((x, y))
-
     decomp = decompose(sat.base)
+    classes = {}
     support = {}
     for x in functor.source.object_names():
-        cls = object_class(decomp, functor.apply_object(x))
+        fx = functor.apply_object(x)
+        problems = sat.object_problems(fx)
+        if problems:
+            raise ValueError(f"image of {x}: " + "; ".join(problems))
+        classes[x] = object_class(decomp, fx)
         for j, block in enumerate(decomp.blocks):
-            if cls[j] > 0 and block not in support:
-                support[block] = x
+            if classes[x][j] > 0:
+                support.setdefault(block, x)
     unreached = tuple(b for b in decomp.blocks if b not in support)
+
+    non_bijective = []
+    for x, y in functor.source.pairs():
+        fx, fy = functor.apply_object(x), functor.apply_object(y)
+        target_dim = sum(a * b for a, b in zip(classes[x], classes[y]))
+        image_dim = MatrixSpan(sat.dim(fy), sat.dim(fx), list(functor.images(x, y))).dim
+        if not (image_dim == len(functor.source.hom_basis(x, y)) == target_dim):
+            non_bijective.append((x, y))
 
     ok = not non_bijective and not unreached
     return MoritaCertificate(

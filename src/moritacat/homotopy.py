@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .completion import (
+    ExtendedFunctor,
     LazySaturation,
     MoritaCertificate,
     canonical_sum,
-    extend_along_iota,
     is_morita_equivalence,
     materialize_full_subcategory,
     saturation_functor,
@@ -251,7 +251,7 @@ def class_of_functor(f) -> HoMorphism:
         f = saturation_inclusion_of(f)
     da = decompose(f.source)
     db = decompose(f.target.base)
-    ext = extend_along_iota(f)
+    ext = ExtendedFunctor(f)
     ka, kb = len(da.blocks), len(db.blocks)
     cols = []
     for i in range(ka):
@@ -367,7 +367,7 @@ def compose_into_saturation(g: StarFunctor, f: StarFunctor) -> StarFunctor:
     through the extension of g to Sat(B)."""
     if f.target.base != g.source:
         raise ValueError("functors are not composable")
-    ext = extend_along_iota(g)
+    ext = ExtendedFunctor(g)
     object_map = {
         x: ext.apply_object(f.apply_object(x)) for x in f.source.object_names()
     }

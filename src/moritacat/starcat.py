@@ -53,11 +53,15 @@ class ConcreteStarCategory:
 
     objects: tuple  # tuple[ObjectDecl, ...]
     homs: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
+    _by_name: dict = field(init=False, compare=False, repr=False)
+    _hom_index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [o.name for o in self.objects]
-        if len(set(names)) != len(names):
+        by_name = {o.name: o for o in self.objects}
+        if len(by_name) != len(self.objects):
             raise ValueError("duplicate object names")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_hom_index", dict(self.homs))
 
     # --- lookups ------------------------------------------------------
 
@@ -65,13 +69,13 @@ class ConcreteStarCategory:
         return tuple(o.name for o in self.objects)
 
     def object(self, name: str) -> ObjectDecl:
-        for o in self.objects:
-            if o.name == name:
-                return o
-        raise KeyError(f"no object named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no object named {name!r}") from None
 
     def has_object(self, name: str) -> bool:
-        return any(o.name == name for o in self.objects)
+        return name in self._by_name
 
     def dim(self, name: str) -> int:
         return self.object(name).dim
@@ -82,9 +86,9 @@ class ConcreteStarCategory:
     def hom_basis(self, src: str, tgt: str):
         """Canonical basis of Hom(src, tgt); empty tuple for the zero
         space."""
-        for (s, t), mats in self.homs:
-            if s == src and t == tgt:
-                return mats
+        mats = self._hom_index.get((src, tgt))
+        if mats is not None:
+            return mats
         if not (self.has_object(src) and self.has_object(tgt)):
             raise KeyError(f"unknown object pair ({src!r}, {tgt!r})")
         return ()
@@ -320,19 +324,22 @@ class StarFunctor:
     target: object  # ConcreteStarCategory or completion.LazySaturation
     object_map: tuple  # sorted tuple of (source object, target object)
     arrow_map: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
+    _object_index: dict = field(init=False, compare=False, repr=False)
+    _arrow_index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_object_index", dict(self.object_map))
+        object.__setattr__(self, "_arrow_index", dict(self.arrow_map))
 
     def apply_object(self, name: str):
-        for s, t in self.object_map:
-            if s == name:
-                return t
-        raise KeyError(f"functor has no value on object {name!r}")
+        try:
+            return self._object_index[name]
+        except KeyError:
+            raise KeyError(f"functor has no value on object {name!r}") from None
 
     def images(self, src: str, tgt: str):
         """The stored images of the canonical basis of Hom(src, tgt)."""
-        for pair, mats in self.arrow_map:
-            if pair == (src, tgt):
-                return mats
-        return ()
+        return self._arrow_index.get((src, tgt), ())
 
     def apply(self, src: str, tgt: str, m: ExactMatrix) -> ExactMatrix:
         """Image of an arbitrary element of Hom(src, tgt)."""

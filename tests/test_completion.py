@@ -12,7 +12,6 @@ from moritacat.completion import (
     additive_hull,
     canonical_range,
     canonical_sum,
-    extend_along_iota,
     identity_proj_object,
     iota,
     materialize_full_subcategory,
@@ -284,7 +283,7 @@ def test_extension_agrees_with_the_functor_on_one_letter_words():
         {("x", "x"): [E11]},
     )
     assert validate_functor(f) == []
-    ext = extend_along_iota(f)
+    ext = ExtendedFunctor(f)
     assert isinstance(ext, ExtendedFunctor)
     one = identity_proj_object(base, "x")
     assert ext.apply_object(one) == f.apply_object("x")
@@ -300,7 +299,7 @@ def test_extension_sends_sums_to_sums_and_ranges_to_ranges():
         {"x": ProjObject(("x",), E11)},
         {("x", "x"): [E11]},
     )
-    ext = extend_along_iota(f)
+    ext = ExtendedFunctor(f)
     one = identity_proj_object(base, "x")
     two, _ = canonical_sum(base, [one, one])
     image = ext.apply_object(two)
@@ -317,7 +316,7 @@ def test_extension_sends_sums_to_sums_and_ranges_to_ranges():
 def test_extension_preserves_composition_blockwise():
     base = diag_category()
     emb = iota(base)
-    ext = extend_along_iota(emb)
+    ext = ExtendedFunctor(emb)
     w = ProjObject(("x", "x"), word_unit(base, ("x", "x")))
     sat = LazySaturation(base)
     basis = sat.hom_basis(w, w)
