@@ -91,11 +91,14 @@ def validate_proj_object(base: ConcreteStarCategory, obj: ProjObject):
         problems.append("projection is not self-adjoint")
     if obj.proj @ obj.proj != obj.proj:
         problems.append("projection is not idempotent")
+    spans = {}
     for i in range(len(obj.word)):
         for j in range(len(obj.word)):
             blk = matrix_block(base, obj.word, obj.word, obj.proj, i, j)
-            span = base.hom_span(obj.word[j], obj.word[i])
-            if not span.contains(blk):
+            pair = (obj.word[j], obj.word[i])
+            if pair not in spans:
+                spans[pair] = base.hom_span(*pair)
+            if not spans[pair].contains(blk):
                 problems.append(
                     f"block ({i}, {j}) is outside hom({obj.word[j]}, {obj.word[i]})"
                 )

@@ -21,7 +21,7 @@ happens to be realized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -174,10 +174,12 @@ class SemisimpleForm:
 
     blocks: tuple  # tuple[str, ...]
     object_classes: tuple  # tuple of (object name, tuple[int, ...])
-    _class_index: dict = field(init=False, compare=False, repr=False)
 
     def class_of(self, name: str):
-        return self._class_index[name]
+        for n, c in self.object_classes:
+            if n == name:
+                return c
+        raise KeyError(name)
 
     def object_names(self):
         return tuple(n for n, _ in self.object_classes)
@@ -187,7 +189,6 @@ class SemisimpleForm:
         return len(self.blocks)
 
     def __post_init__(self):
-        object.__setattr__(self, "_class_index", dict(self.object_classes))
         for n, c in self.object_classes:
             if len(c) != len(self.blocks):
                 raise ValueError(f"class of {n!r} has the wrong length")

@@ -53,15 +53,11 @@ class ConcreteStarCategory:
 
     objects: tuple  # tuple[ObjectDecl, ...]
     homs: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
-    _by_name: dict = field(init=False, compare=False, repr=False)
-    _hom_index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        by_name = {o.name: o for o in self.objects}
-        if len(by_name) != len(self.objects):
+        names = [o.name for o in self.objects]
+        if len(set(names)) != len(names):
             raise ValueError("duplicate object names")
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_hom_index", dict(self.homs))
 
     # --- lookups ------------------------------------------------------
 
@@ -69,13 +65,13 @@ class ConcreteStarCategory:
         return tuple(o.name for o in self.objects)
 
     def object(self, name: str) -> ObjectDecl:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no object named {name!r}") from None
+        for o in self.objects:
+            if o.name == name:
+                return o
+        raise KeyError(f"no object named {name!r}")
 
     def has_object(self, name: str) -> bool:
-        return name in self._by_name
+        return any(o.name == name for o in self.objects)
 
     def dim(self, name: str) -> int:
         return self.object(name).dim
@@ -86,9 +82,9 @@ class ConcreteStarCategory:
     def hom_basis(self, src: str, tgt: str):
         """Canonical basis of Hom(src, tgt); empty tuple for the zero
         space."""
-        mats = self._hom_index.get((src, tgt))
-        if mats is not None:
-            return mats
+        for (s, t), mats in self.homs:
+            if s == src and t == tgt:
+                return mats
         if not (self.has_object(src) and self.has_object(tgt)):
             raise KeyError(f"unknown object pair ({src!r}, {tgt!r})")
         return ()
@@ -324,22 +320,19 @@ class StarFunctor:
     target: object  # ConcreteStarCategory or completion.LazySaturation
     object_map: tuple  # sorted tuple of (source object, target object)
     arrow_map: tuple  # sorted tuple of ((src, tgt), tuple[ExactMatrix, ...])
-    _object_index: dict = field(init=False, compare=False, repr=False)
-    _arrow_index: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_object_index", dict(self.object_map))
-        object.__setattr__(self, "_arrow_index", dict(self.arrow_map))
 
     def apply_object(self, name: str):
-        try:
-            return self._object_index[name]
-        except KeyError:
-            raise KeyError(f"functor has no value on object {name!r}") from None
+        for s, t in self.object_map:
+            if s == name:
+                return t
+        raise KeyError(f"functor has no value on object {name!r}")
 
     def images(self, src: str, tgt: str):
         """The stored images of the canonical basis of Hom(src, tgt)."""
-        return self._arrow_index.get((src, tgt), ())
+        for pair, mats in self.arrow_map:
+            if pair == (src, tgt):
+                return mats
+        return ()
 
     def apply(self, src: str, tgt: str, m: ExactMatrix) -> ExactMatrix:
         """Image of an arbitrary element of Hom(src, tgt)."""
