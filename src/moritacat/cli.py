@@ -30,7 +30,7 @@ from .completion import (
     validate_proj_object,
     word_dim,
 )
-from .homotopy import HoMorphism, aut_group, ho_compose, hom_monoid
+from .homotopy import ClassMatrix, aut_group, ho_compose, hom_monoid
 from .jsonio import SchemaError, dumps
 from .ktheory import NotCommutativeProductForm, k0, k0_ring, tensor
 from .presentations import (
@@ -123,9 +123,9 @@ def _load_form(path):
     return _as_form(_load_value(path), path)
 
 
-def _load_ho(path) -> HoMorphism:
+def _load_ho(path) -> ClassMatrix:
     value = _load_value(path)
-    if not isinstance(value, HoMorphism):
+    if not isinstance(value, ClassMatrix):
         raise CommandError(f'{path}: a "ho-morphism" document is required')
     return value
 

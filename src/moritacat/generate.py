@@ -27,7 +27,7 @@ from .completion import (
     materialize_full_subcategory,
     word_offsets,
 )
-from .homotopy import HoMorphism, ho_morphism
+from .homotopy import ClassMatrix, ho_morphism
 from .presentations import (
     Assignment,
     LiftSquare,
@@ -420,7 +420,7 @@ def sub_projection(rng, gen: GeneratedCategory, word, selections) -> ExactMatrix
 
 def random_ho_morphism(
     rng, source_form: SemisimpleForm, target_form: SemisimpleForm, entry_bound: int = 2
-) -> HoMorphism:
+) -> ClassMatrix:
     rows = tuple(
         tuple(rng.randint(0, entry_bound) for _ in range(source_form.k))
         for _ in range(target_form.k)

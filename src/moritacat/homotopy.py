@@ -35,7 +35,7 @@ from .completion import (
     saturation_inclusion_of,
     word_dim,
 )
-from .scalar import ExactMatrix, ZERO, span_membership
+from .scalar import ExactMatrix, ZERO, block_diag, span_membership
 from .semisimple import (
     Decomposition,
     SemisimpleForm,
@@ -52,12 +52,21 @@ from .starcat import ConcreteStarCategory, StarFunctor, star_category, star_func
 # morphisms of the homotopy category
 
 
+class CertificateError(Exception):
+    """An exact check of a constructed witness failed.  The witnesses
+    are built to pass these checks, so this signals a bug, never a
+    property of the input; unlike an assert it survives ``python -O``."""
+
+
 @dataclass(frozen=True)
-class HoMorphism:
-    """A homotopy-category morphism in normal form: a matrix over the
-    natural numbers with one row per target block and one column per
-    source block.  Every such matrix is a valid morphism; the zero
-    matrix is the zero map (factoring through the zero object)."""
+class ClassMatrix:
+    """A morphism of the homotopy category or of its group completion in
+    normal form: an integer matrix with one row per target block and one
+    column per source block.  The hom monoids are free commutative, hence
+    cancellative, so group completion is the same matrix read over the
+    integers; the effective matrices (natural entries) are the homotopy
+    morphisms, and the zero matrix is the zero map (factoring through the
+    zero object)."""
 
     source_form: SemisimpleForm
     target_form: SemisimpleForm
@@ -71,8 +80,8 @@ class HoMorphism:
             if len(row) != ka:
                 raise ValueError(f"expected rows of length {ka}")
             for e in row:
-                if not isinstance(e, int) or e < 0:
-                    raise ValueError("matrix entries must be natural numbers")
+                if not isinstance(e, int):
+                    raise ValueError("matrix entries must be integers")
 
     @property
     def shape(self):
@@ -84,33 +93,49 @@ class HoMorphism:
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.mult for e in row)
 
+    def is_effective(self) -> bool:
+        """True iff every entry is a natural number: the matrix is a
+        homotopy morphism, not only a formal difference of two."""
+        return all(e >= 0 for row in self.mult for e in row)
+
     def __repr__(self):
-        return f"HoMorphism({list(map(list, self.mult))})"
+        return f"ClassMatrix({list(map(list, self.mult))})"
 
 
-def ho_morphism(source_form, target_form, rows) -> HoMorphism:
-    return HoMorphism(
+HoMorphism = GcMorphism = ClassMatrix
+
+
+def gc_morphism(source_form, target_form, rows) -> ClassMatrix:
+    return ClassMatrix(
         source_form, target_form, tuple(tuple(int(e) for e in r) for r in rows)
     )
 
 
-def ho_identity(form: SemisimpleForm) -> HoMorphism:
+def ho_morphism(source_form, target_form, rows) -> ClassMatrix:
+    """An effective class matrix; a negative entry raises ValueError."""
+    h = gc_morphism(source_form, target_form, rows)
+    if not h.is_effective():
+        raise ValueError("matrix entries must be natural numbers")
+    return h
+
+
+def ho_identity(form: SemisimpleForm) -> ClassMatrix:
     k = form.k
-    return HoMorphism(
+    return ClassMatrix(
         form, form, tuple(tuple(1 if i == j else 0 for i in range(k)) for j in range(k))
     )
 
 
-def ho_zero(source_form, target_form) -> HoMorphism:
-    return HoMorphism(
+def ho_zero(source_form, target_form) -> ClassMatrix:
+    return ClassMatrix(
         source_form,
         target_form,
         tuple((0,) * source_form.k for _ in range(target_form.k)),
     )
 
 
-def ho_compose(g: HoMorphism, f: HoMorphism) -> HoMorphism:
-    """g after f: the matrix product over the natural numbers."""
+def ho_compose(g: ClassMatrix, f: ClassMatrix) -> ClassMatrix:
+    """g after f: the matrix product."""
     if g.source_form != f.target_form:
         raise ValueError("homotopy morphisms are not composable")
     kb = f.target_form.k
@@ -121,10 +146,10 @@ def ho_compose(g: HoMorphism, f: HoMorphism) -> HoMorphism:
         )
         for j in range(g.target_form.k)
     )
-    return HoMorphism(f.source_form, g.target_form, rows)
+    return ClassMatrix(f.source_form, g.target_form, rows)
 
 
-def ho_add(f: HoMorphism, g: HoMorphism) -> HoMorphism:
+def ho_add(f: ClassMatrix, g: ClassMatrix) -> ClassMatrix:
     """The direct sum: entrywise addition (the class of the pointwise
     direct-sum functor)."""
     if f.source_form != g.source_form or f.target_form != g.target_form:
@@ -132,42 +157,83 @@ def ho_add(f: HoMorphism, g: HoMorphism) -> HoMorphism:
     rows = tuple(
         tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(f.mult, g.mult)
     )
-    return HoMorphism(f.source_form, f.target_form, rows)
+    return ClassMatrix(f.source_form, f.target_form, rows)
 
 
-def _is_permutation_matrix(rows) -> bool:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    target = [0] * (n - 1) + [1]
-    for r in rows:
-        if sorted(r) != target:
-            return False
-    for j in range(n):
-        col = [rows[i][j] for i in range(n)]
-        if sorted(col) != target:
-            return False
-    return True
+def gc_negate(f: ClassMatrix) -> ClassMatrix:
+    return ClassMatrix(
+        f.source_form, f.target_form, tuple(tuple(-e for e in row) for row in f.mult)
+    )
 
 
-def ho_is_iso(f: HoMorphism) -> bool:
-    """True iff the matrix is a square permutation matrix — the only
-    matrices invertible over the natural numbers."""
+def gc_subtract(f: ClassMatrix, g: ClassMatrix) -> ClassMatrix:
+    return ho_add(f, gc_negate(g))
+
+
+gc_identity, gc_zero, gc_compose, gc_add = ho_identity, ho_zero, ho_compose, ho_add
+
+
+def _is_unit_vector(v) -> bool:
+    return sorted(v) == [0] * (len(v) - 1) + [1]
+
+
+def ho_is_iso(f: ClassMatrix) -> bool:
+    """True iff the matrix is a square permutation matrix (every row and
+    every column a unit vector) — the only matrices invertible over the
+    natural numbers."""
     if f.source_form.k != f.target_form.k:
         return False
-    n = f.source_form.k
-    if n == 0:
-        return True
-    return _is_permutation_matrix([list(r) for r in f.mult])
+    return all(map(_is_unit_vector, f.mult)) and all(map(_is_unit_vector, zip(*f.mult)))
 
 
-def ho_inverse(f: HoMorphism) -> HoMorphism:
-    """The inverse of an isomorphism: the transpose."""
+def _rational_inverse(rows):
+    """Exact inverse of an integer matrix over the rationals, or None."""
+    n = len(rows)
+    aug = [
+        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _integer_inverse(rows):
+    """The inverse over the integers of a square integer matrix, or None."""
+    inv = _rational_inverse(rows)
+    if inv is None or any(e.denominator != 1 for row in inv for e in row):
+        return None
+    return [[int(e) for e in row] for row in inv]
+
+
+def gc_is_iso(f: ClassMatrix) -> bool:
+    """True iff the matrix is invertible over the integers."""
+    return f.source_form.k == f.target_form.k and _integer_inverse(f.mult) is not None
+
+
+def gc_inverse(f: ClassMatrix) -> ClassMatrix:
+    """The inverse over the integers."""
+    inv = _integer_inverse(f.mult) if f.source_form.k == f.target_form.k else None
+    if inv is None:
+        raise ValueError("not an isomorphism")
+    return gc_morphism(f.target_form, f.source_form, inv)
+
+
+def ho_inverse(f: ClassMatrix) -> ClassMatrix:
+    """The inverse of an isomorphism (a permutation matrix, so the
+    inverse is its transpose and again effective)."""
     if not ho_is_iso(f):
         raise ValueError("not an isomorphism")
-    n = f.source_form.k
-    rows = tuple(tuple(f.mult[i][j] for i in range(n)) for j in range(n))
-    return HoMorphism(f.target_form, f.source_form, rows)
+    return gc_inverse(f)
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +264,29 @@ class HoHomMonoid:
             for i in range(self.source_form.k)
         )
 
-    def generator(self, j: int, i: int) -> HoMorphism:
+    def generator(self, j: int, i: int) -> ClassMatrix:
         rows = [[0] * self.source_form.k for _ in range(self.target_form.k)]
         rows[j][i] = 1
         return ho_morphism(self.source_form, self.target_form, rows)
 
-    def zero(self) -> HoMorphism:
+    def zero(self) -> ClassMatrix:
         return ho_zero(self.source_form, self.target_form)
 
     def bounded_elements(self, entry_sum_bound: int):
         """Every morphism whose entries sum to at most the bound, in
         lexicographic order of the flattened matrix."""
-        kb, ka = self.target_form.k, self.source_form.k
-        cells = kb * ka
-        out = []
-        for flat in itertools.product(range(entry_sum_bound + 1), repeat=cells):
-            if sum(flat) > entry_sum_bound:
-                continue
-            rows = [flat[r * ka : (r + 1) * ka] for r in range(kb)]
-            out.append(ho_morphism(self.source_form, self.target_form, rows))
-        return out
+        return [
+            ho_morphism(self.source_form, self.target_form, rows)
+            for rows in _bounded_matrices(*self.shape, entry_sum_bound)
+            if sum(map(sum, rows)) <= entry_sum_bound
+        ]
+
+
+def _bounded_matrices(rows: int, cols: int, entry_bound: int):
+    """Every rows x cols matrix with entries in 0..entry_bound, as a
+    tuple of row tuples, in lexicographic order of the flattened matrix."""
+    for flat in itertools.product(range(entry_bound + 1), repeat=rows * cols):
+        yield tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
 
 
 def _as_form(x) -> SemisimpleForm:
@@ -238,7 +307,7 @@ def hom_monoid(a, b) -> HoHomMonoid:
 # classifying functors
 
 
-def class_of_functor(f) -> HoMorphism:
+def class_of_functor(f) -> ClassMatrix:
     """The normal form of a functor into a saturation: entry (j, i) is
     the multiplicity of target block j in the image of a minimal
     projection of source block i.
@@ -259,11 +328,11 @@ def class_of_functor(f) -> HoMorphism:
         image = ext.apply_object(p)
         cols.append(object_class(db, image))
     rows = tuple(tuple(cols[i][j] for i in range(ka)) for j in range(kb))
-    return HoMorphism(da.form, db.form, rows)
+    return ClassMatrix(da.form, db.form, rows)
 
 
 def representative_functor(
-    h: HoMorphism, a: ConcreteStarCategory, b: ConcreteStarCategory
+    h: ClassMatrix, a: ConcreteStarCategory, b: ConcreteStarCategory
 ) -> StarFunctor:
     """The canonical functor A -> Sat(B) in the class of h.
 
@@ -350,7 +419,8 @@ def representative_functor(
         images = []
         for belt in basis:
             coeffs = span_membership(belt, unit_elements)
-            assert coeffs is not None, "hom element outside matrix-unit span"
+            if coeffs is None:
+                raise CertificateError("hom element outside matrix-unit span")
             acc = ExactMatrix.zeros(
                 word_dim(b, object_map[y].word), word_dim(b, object_map[x].word)
             )
@@ -430,9 +500,10 @@ def saturation_iso_witness(base: ConcreteStarCategory, o1, o2):
     u = slot_bridge(units, "a", zero_off, "b", zero_off, c1)
     if u is None:
         u = ExactMatrix.zeros(word_dim(base, o2.word), word_dim(base, o1.word))
-    assert u.adjoint() @ u == o1.proj
-    assert u @ u.adjoint() == o2.proj
-    assert sat.contains_arrow(o1, o2, u)
+    if u.adjoint() @ u != o1.proj or u @ u.adjoint() != o2.proj:
+        raise CertificateError("the assembled bridge is not a unitary between the objects")
+    if not sat.contains_arrow(o1, o2, u):
+        raise CertificateError("the assembled bridge is outside the saturation hom space")
     return u
 
 
@@ -448,50 +519,25 @@ class PicardGroup:
 
     form: SemisimpleForm
     order: int
-    generators: tuple  # tuple of HoMorphism permutation matrices
+    generators: tuple  # tuple of ClassMatrix permutation matrices
     label: str
     verified: bool = False
     verify_entry_bound: int = 0
 
 
-def _rational_inverse(rows):
-    """Exact inverse of an integer matrix over the rationals, or None."""
-    n = len(rows)
-    aug = [
-        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _invertible_over_naturals(rows) -> bool:
-    inv = _rational_inverse(rows)
-    if inv is None:
-        return False
-    return all(e.denominator == 1 and e >= 0 for row in inv for e in row)
+    inv = _integer_inverse(rows)
+    return inv is not None and all(e >= 0 for row in inv for e in row)
 
 
 def enumerate_natural_invertibles(k: int, entry_bound: int):
     """Every k x k matrix with entries up to the bound that has an
     inverse with natural-number entries — exactly the permutation
     matrices."""
-    found = []
-    for flat in itertools.product(range(entry_bound + 1), repeat=k * k):
-        rows = [list(flat[r * k : (r + 1) * k]) for r in range(k)]
-        if _invertible_over_naturals(rows):
-            found.append(tuple(tuple(r) for r in rows))
-    return found
+    return [
+        rows for rows in _bounded_matrices(k, k, entry_bound)
+        if _invertible_over_naturals(rows)
+    ]
 
 
 def aut_group(a, verify: bool = False, verify_entry_bound: int = 2) -> PicardGroup:
@@ -506,9 +552,7 @@ def aut_group(a, verify: bool = False, verify_entry_bound: int = 2) -> PicardGro
     k = form.k
     generators = []
     for t in range(k - 1):
-        rows = [[0] * k for _ in range(k)]
-        for j in range(k):
-            rows[j][j] = 1
+        rows = [list(r) for r in ho_identity(form).mult]
         rows[t][t] = rows[t + 1][t + 1] = 0
         rows[t][t + 1] = rows[t + 1][t] = 1
         generators.append(ho_morphism(form, form, rows))
@@ -548,56 +592,25 @@ def product_probe_category(
         for x in list(a.object_names()) + [None]
         for y in list(b.object_names()) + [None]
     ]
+
+    def dims(x, y):
+        return (a.dim(x) if x is not None else 0, b.dim(y) if y is not None else 0)
+
     decls = []
     for x, y in pairs:
-        dx = a.dim(x) if x is not None else 0
-        dy = b.dim(y) if y is not None else 0
-        unit = [[ZERO] * (dx + dy) for _ in range(dx + dy)]
-        if x is not None:
-            ua = a.unit(x)
-            for r in range(dx):
-                for c in range(dx):
-                    unit[r][c] = ua.entry(r, c)
-        if y is not None:
-            ub = b.unit(y)
-            for r in range(dy):
-                for c in range(dy):
-                    unit[dx + r][dx + c] = ub.entry(r, c)
-        decls.append(
-            (
-                _pair_name(x, y),
-                dx + dy,
-                ExactMatrix.from_rows(unit)
-                if dx + dy
-                else ExactMatrix.zeros(0, 0),
-            )
-        )
+        units = [c.unit(z) for c, z in ((a, x), (b, y)) if z is not None]
+        decls.append((_pair_name(x, y), sum(dims(x, y)), block_diag(units)))
     homs = {}
     for x1, y1 in pairs:
         for x2, y2 in pairs:
-            d1 = (a.dim(x1) if x1 is not None else 0) + (
-                b.dim(y1) if y1 is not None else 0
-            )
-            d2 = (a.dim(x2) if x2 is not None else 0) + (
-                b.dim(y2) if y2 is not None else 0
-            )
-            dx1 = a.dim(x1) if x1 is not None else 0
-            dx2 = a.dim(x2) if x2 is not None else 0
+            (dx1, dy1), (dx2, dy2) = dims(x1, y1), dims(x2, y2)
             basis = []
             if x1 is not None and x2 is not None:
-                for f in a.hom_basis(x1, x2):
-                    m = [[ZERO] * d1 for _ in range(d2)]
-                    for r in range(f.rows):
-                        for c in range(f.cols):
-                            m[r][c] = f.entry(r, c)
-                    basis.append(ExactMatrix.from_rows(m))
+                zero = ExactMatrix.zeros(dy2, dy1)
+                basis.extend(block_diag([f, zero]) for f in a.hom_basis(x1, x2))
             if y1 is not None and y2 is not None:
-                for g in b.hom_basis(y1, y2):
-                    m = [[ZERO] * d1 for _ in range(d2)]
-                    for r in range(g.rows):
-                        for c in range(g.cols):
-                            m[dx2 + r][dx1 + c] = g.entry(r, c)
-                    basis.append(ExactMatrix.from_rows(m))
+                zero = ExactMatrix.zeros(dx2, dx1)
+                basis.extend(block_diag([zero, g]) for g in b.hom_basis(y1, y2))
             if basis:
                 homs[(_pair_name(x1, y1), _pair_name(x2, y2))] = basis
     return star_category(decls, homs)
@@ -627,11 +640,7 @@ def comparison_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
         coproduct,
         product,
         {name: name for name in coproduct.object_names()},
-        {
-            (s, t): list(coproduct.hom_basis(s, t))
-            for s, t in coproduct.pairs()
-            if coproduct.hom_basis(s, t)
-        },
+        dict(coproduct.homs),
     )
     return coproduct, product, functor
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .completion import LazySaturation, ProjObject
-from .homotopy import HoMorphism, ho_morphism
+from .homotopy import ClassMatrix, ho_morphism
 from .presentations import (
     Arrow,
     Assignment,
@@ -402,7 +402,9 @@ def saturation_functor_from_json(doc, pointer: str = "$") -> StarFunctor:
 # homotopy-class matrices
 
 
-def ho_morphism_to_json(h: HoMorphism):
+def ho_morphism_to_json(h: ClassMatrix):
+    if not h.is_effective():
+        raise TypeError("no document form for a class matrix with negative entries")
     return {
         "kind": "ho-morphism",
         "source": semisimple_form_to_json(h.source_form),
@@ -411,7 +413,7 @@ def ho_morphism_to_json(h: HoMorphism):
     }
 
 
-def ho_morphism_from_json(doc, pointer: str = "$") -> HoMorphism:
+def ho_morphism_from_json(doc, pointer: str = "$") -> ClassMatrix:
     _require(
         _kind_of(doc, pointer) == "ho-morphism",
         f"{pointer}.kind",
@@ -733,6 +735,6 @@ def to_document(value):
         return functor_to_json(value)
     if isinstance(value, Presentation):
         return presentation_to_json(value)
-    if isinstance(value, HoMorphism):
+    if isinstance(value, ClassMatrix):
         return ho_morphism_to_json(value)
     raise TypeError(f"no document form for {type(value).__name__}")

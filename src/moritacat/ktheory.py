@@ -23,12 +23,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import ProjObject, validate_proj_object
+# The group-completed operations are the class-matrix operations of
+# homotopy, re-exported here under their gc_* names.
 from .homotopy import (
+    ClassMatrix,
+    GcMorphism,
     HoHomMonoid,
-    HoMorphism,
     _as_form,
-    _rational_inverse,
     class_of_functor,
+    gc_add,
+    gc_compose,
+    gc_identity,
+    gc_inverse,
+    gc_is_iso,
+    gc_morphism,
+    gc_negate,
+    gc_subtract,
+    gc_zero,
+    ho_identity,
     ho_morphism,
     hom_monoid,
 )
@@ -46,121 +58,11 @@ class NotCommutativeProductForm(ValueError):
 # group completion
 
 
-@dataclass(frozen=True)
-class GcMorphism:
-    """A group-completed homotopy morphism: a matrix over the integers
-    with one row per target block and one column per source block."""
-
-    source_form: SemisimpleForm
-    target_form: SemisimpleForm
-    mult: tuple  # tuple of rows, each a tuple of ints; shape k_B x k_A
-
-    def __post_init__(self):
-        kb, ka = self.target_form.k, self.source_form.k
-        if len(self.mult) != kb:
-            raise ValueError(f"expected {kb} rows, got {len(self.mult)}")
-        for row in self.mult:
-            if len(row) != ka:
-                raise ValueError(f"expected rows of length {ka}")
-            for e in row:
-                if not isinstance(e, int):
-                    raise ValueError("matrix entries must be integers")
-
-    @property
-    def shape(self):
-        return (self.target_form.k, self.source_form.k)
-
-    def entry(self, j: int, i: int) -> int:
-        return self.mult[j][i]
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.mult for e in row)
-
-    def is_effective(self) -> bool:
-        """True iff the matrix lies in the positive cone (is the
-        completion of an honest homotopy morphism)."""
-        return all(e >= 0 for row in self.mult for e in row)
-
-    def __repr__(self):
-        return f"GcMorphism({list(map(list, self.mult))})"
-
-
-def gc_morphism(source_form, target_form, rows) -> GcMorphism:
-    return GcMorphism(
-        source_form, target_form, tuple(tuple(int(e) for e in r) for r in rows)
-    )
-
-
-def gc_identity(form: SemisimpleForm) -> GcMorphism:
-    k = form.k
-    return gc_morphism(
-        form, form, [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    )
-
-
-def gc_zero(source_form, target_form) -> GcMorphism:
-    return gc_morphism(
-        source_form, target_form, [[0] * source_form.k for _ in range(target_form.k)]
-    )
-
-
-def group_complete(f: HoMorphism) -> GcMorphism:
-    """The canonical map into the group completion.  It is injective:
-    the underlying monoids are cancellative, so two homotopy morphisms
-    with the same completion are equal."""
-    return gc_morphism(f.source_form, f.target_form, f.mult)
-
-
-def gc_compose(g: GcMorphism, f: GcMorphism) -> GcMorphism:
-    if g.source_form != f.target_form:
-        raise ValueError("group-completed morphisms are not composable")
-    kb = f.target_form.k
-    rows = [
-        [
-            sum(g.mult[j][m] * f.mult[m][i] for m in range(kb))
-            for i in range(f.source_form.k)
-        ]
-        for j in range(g.target_form.k)
-    ]
-    return gc_morphism(f.source_form, g.target_form, rows)
-
-
-def gc_add(f: GcMorphism, g: GcMorphism) -> GcMorphism:
-    if f.source_form != g.source_form or f.target_form != g.target_form:
-        raise ValueError("group-completed morphisms of different shapes")
-    rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(f.mult, g.mult)]
-    return gc_morphism(f.source_form, f.target_form, rows)
-
-
-def gc_negate(f: GcMorphism) -> GcMorphism:
-    return gc_morphism(
-        f.source_form, f.target_form, [[-e for e in row] for row in f.mult]
-    )
-
-
-def gc_subtract(f: GcMorphism, g: GcMorphism) -> GcMorphism:
-    return gc_add(f, gc_negate(g))
-
-
-def gc_is_iso(f: GcMorphism) -> bool:
-    """True iff the matrix is invertible over the integers."""
-    if f.source_form.k != f.target_form.k:
-        return False
-    inv = _rational_inverse([list(r) for r in f.mult])
-    if inv is None:
-        return False
-    return all(e.denominator == 1 for row in inv for e in row)
-
-
-def gc_inverse(f: GcMorphism) -> GcMorphism:
-    if f.source_form.k != f.target_form.k:
-        raise ValueError("not an isomorphism")
-    inv = _rational_inverse([list(r) for r in f.mult])
-    if inv is None or any(e.denominator != 1 for row in inv for e in row):
-        raise ValueError("not an isomorphism")
-    return gc_morphism(
-        f.target_form, f.source_form, [[int(e) for e in row] for row in inv]
-    )
+def group_complete(f: ClassMatrix) -> ClassMatrix:
+    """The canonical map into the group completion: the same matrix,
+    read over the integers.  It is injective because the underlying
+    monoids are cancellative."""
+    return f
 
 
 @dataclass(frozen=True)
@@ -178,7 +80,7 @@ class GcHomGroup:
     def shape(self):
         return self.monoid.shape
 
-    def complete(self, f: HoMorphism) -> GcMorphism:
+    def complete(self, f: ClassMatrix) -> ClassMatrix:
         if (
             f.source_form != self.monoid.source_form
             or f.target_form != self.monoid.target_form
@@ -186,7 +88,7 @@ class GcHomGroup:
             raise ValueError("morphism does not live in this hom monoid")
         return group_complete(f)
 
-    def difference(self, f: HoMorphism, g: HoMorphism) -> GcMorphism:
+    def difference(self, f: ClassMatrix, g: ClassMatrix) -> ClassMatrix:
         return gc_subtract(self.complete(f), self.complete(g))
 
 
@@ -224,10 +126,7 @@ class K0Group:
 
     @property
     def generators(self):
-        k = self.rank
-        return tuple(
-            tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
-        )
+        return ho_identity(self.form).mult
 
     def class_of(self, name: str):
         """The K₀ class of a declared object: its multiplicity vector."""
@@ -256,7 +155,7 @@ def k0_class(cat: ConcreteStarCategory, p: ProjObject):
     return tuple(int(e) for e in object_class(decompose(cat), p))
 
 
-def k0_map(functor) -> GcMorphism:
+def k0_map(functor) -> ClassMatrix:
     """Naturality of K₀: the integer matrix a functor induces on K₀
     groups (the group completion of its homotopy class)."""
     return group_complete(class_of_functor(functor))
@@ -347,7 +246,7 @@ class K0Ring:
     multiplication functor."""
 
     group: K0Group
-    multiplication_class: HoMorphism  # class of the multiplication functor
+    multiplication_class: ClassMatrix  # class of the multiplication functor
 
     @property
     def rank(self) -> int:

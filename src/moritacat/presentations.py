@@ -21,6 +21,7 @@ projection splittings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .completion import (
@@ -967,7 +968,10 @@ def _solve_arrow_preimage(f: StarFunctor, src, tgt, target_matrix):
     return acc
 
 
-def _check_square_commutes(f: StarFunctor, square: LiftSquare):
+def _check_square_commutes(f: StarFunctor, square, entries: bool):
+    """Raise ValueError unless the edges land in the functor's ends and
+    the square commutes on objects and, with ``entries``, on the
+    projection-matrix entries of a range square."""
     g, h = square.top, square.bottom
     if g.target is not f.source and g.target != f.source:
         raise ValueError("top edge does not land in the functor's source")
@@ -977,6 +981,8 @@ def _check_square_commutes(f: StarFunctor, square: LiftSquare):
     for i in range(1, n + 1):
         if f.apply_object(g.object_of(f"o{i}")) != h.object_of(f"o{i}"):
             raise ValueError(f"square does not commute on object o{i}")
+        if not entries:
+            continue
         for j in range(1, n + 1):
             lhs = h.matrix_of(f"s{i}").adjoint() @ h.matrix_of(f"s{j}")
             rhs = f.apply(
@@ -990,89 +996,56 @@ def _check_square_commutes(f: StarFunctor, square: LiftSquare):
                 )
 
 
-def rlp_lift(f: StarFunctor, square: LiftSquare):
-    """A lift of a range-object square through f, or None.
+def _lift_search(f: StarFunctor, square, kind, vertex, prefix, entries):
+    """A lift of a square whose bottom edge represents the universal
+    presentation ``kind`` (apex ``vertex``, arrows ``prefix``1..n from the
+    points o1..on into it), or None.
 
     The search scans the source's objects in declaration order for one
-    mapping to the prescribed range object, then solves the linear
-    equations F(s_i) = (bottom s_i) for the connecting arrows and
-    verifies the range relations.  For trivial fibrations the hom
-    components are bijective, so the solutions are forced and the
-    relations follow; in general a missing solution means no lift is
-    reported even if an exotic one exists outside the solved family.
+    mapping to the bottom edge's apex, then solves the linear equations
+    F(a_i) = (bottom a_i) for the arrows a_i into it and verifies the
+    presentation's relations.  For trivial fibrations the hom components
+    are bijective, so the solutions are forced and the relations follow;
+    in general a missing solution means no lift is reported even if an
+    exotic one exists outside the solved family.  With n = 0 (only R(0))
+    nothing is solved and the relation 1 = 0 keeps the zero objects.
     """
-    _check_square_commutes(f, square)
+    _check_square_commutes(f, square, entries)
     n, g, h = square.n, square.top, square.bottom
     a = f.source
-    r_pres = build_universal("R", n)
-    r_vertex = f"r({n})" if n > 0 else "r(0)"
-    target_r = h.object_of(r_vertex)
+    pres = build_universal(kind, n)
+    apex = h.object_of(vertex)
+    points = {f"o{i}": g.object_of(f"o{i}") for i in range(1, n + 1)}
     for candidate in a.object_names():
-        if f.apply_object(candidate) != target_r:
+        if f.apply_object(candidate) != apex:
             continue
-        if n == 0:
-            if not a.unit(candidate).is_zero():
-                continue
-            lift = assignment(a, {r_vertex: candidate}, {})
+        arrows = {}
+        for i in range(1, n + 1):
+            name = f"{prefix}{i}"
+            arrow = _solve_arrow_preimage(
+                f, points[f"o{i}"], candidate, h.matrix_of(name)
+            )
+            if arrow is None:
+                break
+            arrows[name] = arrow
         else:
-            objects = {f"o{i}": g.object_of(f"o{i}") for i in range(1, n + 1)}
-            objects[r_vertex] = candidate
-            arrows = {}
-            solved = True
-            for i in range(1, n + 1):
-                s = _solve_arrow_preimage(
-                    f, g.object_of(f"o{i}"), candidate, h.matrix_of(f"s{i}")
-                )
-                if s is None:
-                    solved = False
-                    break
-                arrows[f"s{i}"] = s
-            if not solved:
-                continue
-            lift = assignment(a, objects, arrows)
-        if not check_representation(r_pres, lift).ok:
-            continue
-        return lift
+            lift = assignment(a, {**points, vertex: candidate}, arrows)
+            if check_representation(pres, lift).ok:
+                return lift
     return None
+
+
+def rlp_lift(f: StarFunctor, square: LiftSquare):
+    """A lift of a range-object square through f, or None (see
+    ``_lift_search``); the square must commute on objects and on the
+    projection-matrix entries."""
+    return _lift_search(f, square, "R", f"r({square.n})", "s", entries=True)
 
 
 def sum_lift(f: StarFunctor, square: SumSquare):
-    """A lift of a direct-sum square through f, or None; same search
-    strategy as the range-object lift."""
-    n, g, h = square.n, square.top, square.bottom
-    if g.target is not f.source and g.target != f.source:
-        raise ValueError("top edge does not land in the functor's source")
-    if h.target is not f.target and h.target != f.target:
-        raise ValueError("bottom edge does not land in the functor's target")
-    for i in range(1, n + 1):
-        if f.apply_object(g.object_of(f"o{i}")) != h.object_of(f"o{i}"):
-            raise ValueError(f"square does not commute on object o{i}")
-    a = f.source
-    s_pres = build_universal("S", n)
-    s_vertex = f"s({n})"
-    target_s = h.object_of(s_vertex)
-    for candidate in a.object_names():
-        if f.apply_object(candidate) != target_s:
-            continue
-        objects = {f"o{i}": g.object_of(f"o{i}") for i in range(1, n + 1)}
-        objects[s_vertex] = candidate
-        arrows = {}
-        solved = True
-        for i in range(1, n + 1):
-            v = _solve_arrow_preimage(
-                f, g.object_of(f"o{i}"), candidate, h.matrix_of(f"v{i}")
-            )
-            if v is None:
-                solved = False
-                break
-            arrows[f"v{i}"] = v
-        if not solved:
-            continue
-        lift = assignment(a, objects, arrows)
-        if not check_representation(s_pres, lift).ok:
-            continue
-        return lift
-    return None
+    """A lift of a direct-sum square through f, or None (see
+    ``_lift_search``); the square must commute on objects."""
+    return _lift_search(f, square, "S", f"s({square.n})", "v", entries=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,13 +1106,6 @@ class ProbeReport:
             if not p.ok
         )
         return out
-
-
-def _enumerate_class_vectors(bound):
-    if not bound:
-        return [()]
-    tails = _enumerate_class_vectors(bound[1:])
-    return [(h,) + t for h in range(bound[0] + 1) for t in tails]
 
 
 def fibrancy_probe(target, samples=None, projections=None) -> ProbeReport:
@@ -1249,7 +1215,7 @@ def _probe_concrete(cat):
     splits = []
     for x in names:
         cx = object_class(d, x)
-        for cls in _enumerate_class_vectors(cx):
+        for cls in itertools.product(*(range(b + 1) for b in cx)):
             r = find_by_class(cls)
             ok = r is not None
             proj = None

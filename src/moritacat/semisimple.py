@@ -827,14 +827,13 @@ def witness_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
     """A Morita-equivalence witness A -> Sat(B) for categories with the
     same number of blocks, matching blocks in order: the representative
     functor of the identity class matrix."""
-    from .homotopy import HoMorphism, representative_functor
+    from .homotopy import ClassMatrix, ho_identity, representative_functor
 
     da, db = decompose(a), decompose(b)
     if len(da.blocks) != len(db.blocks):
         raise ValueError("block counts differ; no witness exists")
-    k = len(da.blocks)
-    identity = tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
-    return representative_functor(HoMorphism(da.form, db.form, identity), a, b)
+    identity = ho_identity(da.form).mult
+    return representative_functor(ClassMatrix(da.form, db.form, identity), a, b)
 
 
 def are_morita_equivalent(a: ConcreteStarCategory, b: ConcreteStarCategory):

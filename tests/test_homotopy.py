@@ -3,8 +3,15 @@ sum, isomorphism testing, Picard groups, semi-additivity, and the
 brute-force normal-form oracle."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import moritacat
+from moritacat import homotopy
 
 from moritacat.completion import (
     LazySaturation,
@@ -14,6 +21,9 @@ from moritacat.completion import (
     zero_proj_object,
 )
 from moritacat.homotopy import (
+    CertificateError,
+    ClassMatrix,
+    GcMorphism,
     HoMorphism,
     aut_group,
     class_of_functor,
@@ -640,3 +650,67 @@ def test_oracle_representatives_cover_matrix_algebra_target():
         for rep, _ in classes
     )
     assert ranks == [0, 1, 2, 3, 4]
+
+
+# --- one class-matrix type ---------------------------------------------
+
+
+def test_one_class_matrix_type():
+    assert HoMorphism is GcMorphism is ClassMatrix
+    assert ho_morphism(F_TWO, F_TWO, [[1, 0], [2, 3]]).is_effective()
+    assert not ClassMatrix(F_GROUND, F_GROUND, ((-1,),)).is_effective()
+
+
+def test_ho_inverse_is_the_transpose():
+    form = decompose(coproduct_of_grounds(3)).form
+    p = ho_morphism(form, form, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert ho_inverse(p).mult == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+
+
+# --- certificates survive python -O ------------------------------------
+
+
+CERTIFICATE_SCRIPT = """
+from moritacat import homotopy
+from moritacat.semisimple import decompose
+from moritacat.starcat import matrix_category
+
+m2 = matrix_category(2)
+h = homotopy.ho_identity(decompose(m2).form)
+homotopy.span_membership = lambda target, basis: None
+try:
+    homotopy.representative_functor(h, m2, m2)
+except homotopy.CertificateError as exc:
+    print(exc)
+else:
+    raise SystemExit("no refusal")
+"""
+
+
+def test_representative_certificate_raises(monkeypatch):
+    monkeypatch.setattr(homotopy, "span_membership", lambda target, basis: None)
+    with pytest.raises(CertificateError, match="outside matrix-unit span"):
+        representative_functor(ho_identity(F_M2), M2, M2)
+
+
+def test_representative_certificate_survives_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "hom element outside matrix-unit span" in proc.stdout
+
+
+def test_iso_witness_certificate_raises(monkeypatch):
+    # A zero bridge between two rank-one objects is not a unitary.
+    monkeypatch.setattr(homotopy, "slot_bridge", lambda *args: None)
+    o1 = ProjObject(("x",), ExactMatrix.identity(1))
+    o2 = ProjObject(("x", "x"), ExactMatrix.diagonal([0, 1]))
+    with pytest.raises(CertificateError, match="not a unitary"):
+        saturation_iso_witness(GROUND, o1, o2)

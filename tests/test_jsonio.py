@@ -22,7 +22,7 @@ from moritacat.generate import (
     random_ho_morphism,
     random_saturation_object,
 )
-from moritacat.homotopy import ho_morphism
+from moritacat.homotopy import gc_negate, ho_morphism
 from moritacat.jsonio import (
     SchemaError,
     assignment_from_json,
@@ -374,6 +374,14 @@ class TestHoMorphismDocuments:
         with pytest.raises(SchemaError) as err:
             ho_morphism_from_json(doc)
         assert "one row per target block" in err.value.rule
+
+    def test_non_effective_matrix_has_no_document(self):
+        a = SemisimpleForm(("b1",), (("x", (1,)),))
+        negative = gc_negate(ho_morphism(a, a, ((1,),)))
+        with pytest.raises(TypeError, match="no document form"):
+            to_document(negative)
+        with pytest.raises(TypeError, match="no document form"):
+            ho_morphism_to_json(negative)
 
 
 # ---------------------------------------------------------------------------

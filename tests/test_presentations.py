@@ -589,6 +589,22 @@ def test_rlp_lift_zero_case():
     assert rlp_lift(f, square2) is None
 
 
+def test_rlp_lift_zero_case_skips_nonzero_preimages():
+    # x is sent to the zero object, but 1_x is not zero, so x does not
+    # represent R(0) and there is no lift.
+    m2, z = matrix_category(2), zero_category()
+    collapse = star_functor(
+        m2,
+        z,
+        {"x": "z"},
+        {("x", "x"): [ExactMatrix.zeros(0, 0)] * len(m2.hom_basis("x", "x"))},
+    )
+    square = LiftSquare(
+        0, assignment(m2, {}, {}), assignment(z, {"r(0)": "z"}, {})
+    )
+    assert rlp_lift(collapse, square) is None
+
+
 def test_rlp_lift_rejects_non_commuting_square():
     m2, po = _m2_with_rank_one_range()
     cat = po.category
@@ -614,6 +630,66 @@ def test_sum_lift_through_collapse():
     assert lift is not None
     assert lift.object_of("s(2)") == "s"
     assert check_representation(build_universal("S", 2), lift).ok
+
+
+def _doubled_sum_of_two_points():
+    """A collapse onto a category holding x and the sum s = x (+) x, and
+    the sum square (o1, o2 -> x; s(2) -> s) on it."""
+    base = ground_category()
+    sat = LazySaturation(base)
+    x = identity_proj_object(base, "x")
+    total, (v1, v2) = canonical_sum(base, [x, x])
+    b = materialize_full_subcategory(sat, {"x": x, "s": total})
+    doubled = pushout_interval(b, "s")
+    collapse = interval_mediator(doubled, identity_functor(b), "s", b.unit("s"))
+    top = assignment(doubled.category, {"o1": "x", "o2": "x"}, {})
+    bottom = assignment(
+        b, {"o1": "x", "o2": "x", "s(2)": "s"}, {"v1": v1, "v2": v2}
+    )
+    return b, collapse, top, bottom
+
+
+def test_sum_lift_rejects_edges_in_the_wrong_category():
+    b, collapse, top, bottom = _doubled_sum_of_two_points()
+    wrong_top = assignment(b, {"o1": "x", "o2": "x"}, {})
+    with pytest.raises(ValueError, match="top edge"):
+        sum_lift(collapse, SumSquare(2, wrong_top, bottom))
+    wrong_bottom = assignment(
+        collapse.source,
+        {"o1": "x", "o2": "x", "s(2)": "s"},
+        {"v1": bottom.matrix_of("v1"), "v2": bottom.matrix_of("v2")},
+    )
+    with pytest.raises(ValueError, match="bottom edge"):
+        sum_lift(collapse, SumSquare(2, top, wrong_bottom))
+
+
+def test_sum_lift_rejects_non_commuting_square():
+    b, collapse, top, bottom = _doubled_sum_of_two_points()
+    top = assignment(collapse.source, {"o1": "x", "o2": "s"}, {})
+    with pytest.raises(ValueError, match="does not commute on object o2"):
+        sum_lift(collapse, SumSquare(2, top, bottom))
+
+
+def test_sum_lift_without_a_sum_in_the_source_is_none():
+    b, _, _, bottom = _doubled_sum_of_two_points()
+    point = ground_category()
+    inclusion = star_functor(
+        point, b, {"x": "x"}, {("x", "x"): list(b.hom_basis("x", "x"))}
+    )
+    top = assignment(point, {"o1": "x", "o2": "x"}, {})
+    assert sum_lift(inclusion, SumSquare(2, top, bottom)) is None
+
+
+def test_sum_lift_of_a_non_sum_bottom_edge_is_none():
+    # Both legs are the same isometry, so the solved arrows fail the
+    # orthogonality relations of S(2).
+    b, _, _, bottom = _doubled_sum_of_two_points()
+    v1 = bottom.matrix_of("v1")
+    not_a_sum = assignment(
+        b, {"o1": "x", "o2": "x", "s(2)": "s"}, {"v1": v1, "v2": v1}
+    )
+    top = assignment(b, {"o1": "x", "o2": "x"}, {})
+    assert sum_lift(identity_functor(b), SumSquare(2, top, not_a_sum)) is None
 
 
 # ---------------------------------------------------------------------------
