@@ -8,7 +8,9 @@ Subpackages by topic:
 
 - ``scalar``        exact scalars, matrices, echelon forms, range projections
 - ``starcat``       concrete *-categories and *-functors
-- ``completion``    additive hulls, idempotent completion, lazy saturation
+- ``completion``    the lazy saturation (idempotent completion of the
+                    additive hull), its finite full subcategories, and
+                    the Morita-equivalence decision for functors
 - ``presentations`` universal *-categories from generators and relations,
                     pushouts, lifting problems
 - ``semisimple``    block decomposition (Wedderburn over Q(i)) and the

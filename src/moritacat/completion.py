@@ -247,17 +247,13 @@ def word_name(word) -> str:
 
 @dataclass(frozen=True)
 class TruncatedHull:
-    """A finite truncation of the additive hull of a category.
-
-    Truncation is by word length; the hull proper is the colimit over
-    all lengths, so the ``truncated`` flag is always True here.
-    """
+    """A finite truncation, by word length, of the additive hull of a
+    category; the hull proper is the colimit over all lengths."""
 
     category: ConcreteStarCategory
     embedding: StarFunctor
     words: tuple  # sorted tuple of (object name, word tuple)
     max_word_length: int
-    truncated: bool = True
 
     def word_of(self, name: str):
         for n, w in self.words:
@@ -277,32 +273,10 @@ def additive_hull(base: ConcreteStarCategory, max_word_length: int) -> Truncated
     for _ in range(max_word_length):
         frontier = [w + (x,) for w in frontier for x in letters]
         words.extend(frontier)
-
-    sat = LazySaturation(base)
-    objs = {}
-    for w in words:
-        objs[word_name(w)] = ProjObject(w, word_unit(base, w))
-
-    decls = [
-        (name, word_dim(base, o.word), o.proj) for name, o in objs.items()
-    ]
-    homs = {}
-    for na, oa in objs.items():
-        for nb, ob in objs.items():
-            basis = sat.hom_basis(oa, ob)
-            if basis:
-                homs[(na, nb)] = basis
-    category = star_category(decls, homs)
-
+    objs = {word_name(w): ProjObject(w, word_unit(base, w)) for w in words}
+    category = materialize_full_subcategory(LazySaturation(base), objs)
     sigma = star_functor(
-        base,
-        category,
-        {x: word_name((x,)) for x in letters},
-        {
-            (x, y): list(base.hom_basis(x, y))
-            for x, y in base.pairs()
-            if base.hom_basis(x, y)
-        },
+        base, category, {x: word_name((x,)) for x in letters}, dict(base.homs)
     )
     return TruncatedHull(
         category,
@@ -352,11 +326,7 @@ def iota(base: ConcreteStarCategory) -> StarFunctor:
         base,
         base,
         {x: identity_proj_object(base, x) for x in base.object_names()},
-        {
-            (x, y): list(base.hom_basis(x, y))
-            for x, y in base.pairs()
-            if base.hom_basis(x, y)
-        },
+        dict(base.homs),
     )
 
 

@@ -39,7 +39,7 @@ from .presentations import (
     pushout_rn,
 )
 from .scalar import ExactMatrix, GaussianRational, block_diag, kron
-from .semisimple import SemisimpleForm
+from .semisimple import SemisimpleForm, graded_realization
 from .starcat import (
     ConcreteStarCategory,
     StarFunctor,
@@ -233,45 +233,6 @@ def one_object_forms(max_blocks: int = 3, max_mult: int = 2):
                 )
             )
     return out
-
-
-def graded_realization(form: SemisimpleForm, block_ranks) -> ConcreteStarCategory:
-    """A concrete model of a semisimple shape in which each block-i
-    multiplicity slot occupies block_ranks[i] ambient dimensions; rank
-    one everywhere recovers the minimal standard model."""
-    block_ranks = tuple(block_ranks)
-    if len(block_ranks) != form.k:
-        raise ValueError("one rank per block is required")
-    if any(r < 1 for r in block_ranks):
-        raise ValueError("block ranks must be positive")
-    names = form.object_names()
-    dims = {
-        x: sum(c * r for c, r in zip(form.class_of(x), block_ranks)) for x in names
-    }
-
-    def offsets(x):
-        offs = [0]
-        for c, r in zip(form.class_of(x), block_ranks):
-            offs.append(offs[-1] + c * r)
-        return offs
-
-    homs = {}
-    for x in names:
-        for y in names:
-            basis = []
-            offx, offy = offsets(x), offsets(y)
-            for i in range(form.k):
-                mx, my = form.class_of(x)[i], form.class_of(y)[i]
-                r = block_ranks[i]
-                for a in range(my):
-                    for b in range(mx):
-                        m = [[0] * dims[x] for _ in range(dims[y])]
-                        for t in range(r):
-                            m[offy[i] + a * r + t][offx[i] + b * r + t] = 1
-                        basis.append(ExactMatrix.from_rows(m))
-            if basis:
-                homs[(x, y)] = basis
-    return star_category([(x, dims[x]) for x in names], homs)
 
 
 def conjugate_category(cat: ConcreteStarCategory, unitaries) -> ConcreteStarCategory:
@@ -577,16 +538,7 @@ def random_range_cocone(rng, gen: GeneratedCategory, po: RnPushout) -> RangeCoco
     named = {x: identity_proj_object(base, x) for x in base.object_names()}
     named[range_name] = scrambled
     cat = materialize_full_subcategory(LazySaturation(base), named)
-    t0 = star_functor(
-        base,
-        cat,
-        {x: x for x in base.object_names()},
-        {
-            (x, y): list(base.hom_basis(x, y))
-            for x, y in base.pairs()
-            if base.hom_basis(x, y)
-        },
-    )
+    t0 = star_functor(base, cat, {x: x for x in base.object_names()}, dict(base.homs))
     objects = {f"o{i}": po.g.object_of(f"o{i}") for i in range(1, n + 1)}
     objects[f"r({n})"] = range_name
     arrows = {

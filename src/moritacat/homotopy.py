@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .completion import (
     ExtendedFunctor,
@@ -35,7 +34,7 @@ from .completion import (
     saturation_inclusion_of,
     word_dim,
 )
-from .scalar import ExactMatrix, ZERO, block_diag, span_membership
+from .scalar import ExactMatrix, SingularMatrixError, ZERO, block_diag, span_membership
 from .semisimple import (
     Decomposition,
     SemisimpleForm,
@@ -186,33 +185,15 @@ def ho_is_iso(f: ClassMatrix) -> bool:
     return all(map(_is_unit_vector, f.mult)) and all(map(_is_unit_vector, zip(*f.mult)))
 
 
-def _rational_inverse(rows):
-    """Exact inverse of an integer matrix over the rationals, or None."""
-    n = len(rows)
-    aug = [
-        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _integer_inverse(rows):
     """The inverse over the integers of a square integer matrix, or None."""
-    inv = _rational_inverse(rows)
-    if inv is None or any(e.denominator != 1 for row in inv for e in row):
+    try:
+        inv = ExactMatrix.from_rows(rows).inverse()
+    except SingularMatrixError:
         return None
-    return [[int(e) for e in row] for row in inv]
+    if any(e.im != 0 or e.re.denominator != 1 for e in inv.entries):
+        return None
+    return [[int(e.re) for e in inv.row(i)] for i in range(inv.rows)]
 
 
 def gc_is_iso(f: ClassMatrix) -> bool:
@@ -618,24 +599,16 @@ def product_probe_category(
 
 def comparison_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
     """The canonical functor from the coproduct into the product
-    probes: x -> (x, 0) and y -> (0, y).  Returns (coproduct, product
-    probes, functor)."""
-    decls = []
-    homs = {}
-    for x in a.object_names():
-        decls.append((_pair_name(x, None), a.dim(x), a.unit(x)))
-    for y in b.object_names():
-        decls.append((_pair_name(None, y), b.dim(y), b.unit(y)))
-    for x1, x2 in a.pairs():
-        basis = a.hom_basis(x1, x2)
-        if basis:
-            homs[(_pair_name(x1, None), _pair_name(x2, None))] = basis
-    for y1, y2 in b.pairs():
-        basis = b.hom_basis(y1, y2)
-        if basis:
-            homs[(_pair_name(None, y1), _pair_name(None, y2))] = basis
-    coproduct = star_category(decls, homs)
+    probes: x -> (x, 0) and y -> (0, y).  The coproduct is the full
+    subcategory of the probes on those objects.  Returns (coproduct,
+    product probes, functor)."""
     product = product_probe_category(a, b)
+    names = {_pair_name(x, None) for x in a.object_names()}
+    names.update(_pair_name(None, y) for y in b.object_names())
+    coproduct = star_category(
+        [(o.name, o.dim, o.unit) for o in product.objects if o.name in names],
+        {(x, y): m for (x, y), m in product.homs if x in names and y in names},
+    )
     functor = star_functor(
         coproduct,
         product,

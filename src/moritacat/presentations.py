@@ -11,9 +11,9 @@ assignment of objects and matrices satisfying the relations.
 The module provides the standard generating presentations (n free
 points, universal direct sum, universal projection matrix, universal
 range object, their combinations, the unitary interval, and the zero
-object), the comparison maps between them, the two explicit pushout
-constructions (adjoining a unitarily isomorphic copy of an object, and
-adjoining a range object for a projection matrix), right-lifting-
+object), the comparison maps between them, the explicit pushout that
+adjoins a range object for a projection matrix (adjoining a unitarily
+isomorphic copy of an object is its case for an identity), right-lifting-
 property checks against those generating shapes, and the fibrancy
 probe that tests a category for zero objects, direct sums, and
 projection splittings.
@@ -25,13 +25,13 @@ import itertools
 from dataclasses import dataclass
 
 from .completion import (
+    ExtendedFunctor,
     LazySaturation,
     ProjObject,
     canonical_range,
     canonical_sum,
     identity_proj_object,
     materialize_full_subcategory,
-    word_dim,
     word_offsets,
     zero_proj_object,
 )
@@ -45,7 +45,6 @@ from .scalar import (
 from .starcat import (
     ConcreteStarCategory,
     StarFunctor,
-    star_category,
     star_functor,
 )
 
@@ -625,7 +624,7 @@ def pull_assignment(gm: GeneratingMap, asg: Assignment) -> Assignment:
 
 
 # ---------------------------------------------------------------------------
-# pushout: adjoining a unitarily isomorphic copy
+# pushout: adjoining a range object (a unitary copy is the range of a unit)
 
 
 def _fresh_name(taken, base: str) -> str:
@@ -633,104 +632,6 @@ def _fresh_name(taken, base: str) -> str:
     while candidate in taken:
         candidate += "'"
     return candidate
-
-
-@dataclass(frozen=True)
-class IntervalPushout:
-    """A category extended by a fresh unitarily isomorphic copy of one
-    object: the original category includes fully faithfully, and the
-    designated unitary u runs from the original object to the copy."""
-
-    category: ConcreteStarCategory
-    inclusion: StarFunctor
-    x0: str
-    x1: str
-    u: ExactMatrix  # the unitary x0 -> x1, concretely the unit of x0
-
-
-def pushout_interval(a: ConcreteStarCategory, x0: str) -> IntervalPushout:
-    """Adjoin a second copy of ``x0`` with a connecting unitary.
-
-    The copy lives on the same ambient space, the unitary is the unit
-    matrix of x0, and every hom space touching the copy equals the
-    corresponding space of x0, so hom dimensions into/out of the copy
-    match those of x0 exactly.
-    """
-    if not a.has_object(x0):
-        raise KeyError(f"no object named {x0!r}")
-    x1 = _fresh_name(set(a.object_names()), x0 + "'")
-    objects = [(o.name, o.dim, o.unit) for o in a.objects]
-    objects.append((x1, a.dim(x0), a.unit(x0)))
-    homs = {}
-    for (s, t), mats in a.homs:
-        homs[(s, t)] = mats
-    for y in a.object_names():
-        to_copy = a.hom_basis(y, x0)
-        if to_copy:
-            homs[(y, x1)] = to_copy
-        from_copy = a.hom_basis(x0, y)
-        if from_copy:
-            homs[(x1, y)] = from_copy
-    end = a.hom_basis(x0, x0)
-    if end:
-        homs[(x1, x1)] = end
-    cat = star_category(objects, homs)
-    inclusion = star_functor(
-        a,
-        cat,
-        {x: x for x in a.object_names()},
-        {
-            (x, y): list(a.hom_basis(x, y))
-            for x, y in a.pairs()
-            if a.hom_basis(x, y)
-        },
-    )
-    return IntervalPushout(cat, inclusion, x0, x1, a.unit(x0))
-
-
-def interval_mediator(
-    po: IntervalPushout, t0: StarFunctor, x1_image: str, u_image: ExactMatrix
-) -> StarFunctor:
-    """The unique functor out of an interval pushout agreeing with t0 on
-    the original category and sending the designated unitary to
-    ``u_image`` (a unitary t0(x0) -> x1_image of t0's target)."""
-    if t0.source != po.inclusion.source:
-        raise ValueError("cocone functor does not start at the pushed-out category")
-    c = t0.target
-    fx0 = t0.apply_object(po.x0)
-    if u_image.adjoint() @ u_image != c.unit(fx0):
-        raise ValueError("u image is not an isometry")
-    if u_image @ u_image.adjoint() != c.unit(x1_image):
-        raise ValueError("u image is not a coisometry")
-    a = t0.source
-    object_map = {x: t0.apply_object(x) for x in a.object_names()}
-    object_map[po.x1] = x1_image
-    arrow_map = {}
-    for x, y in a.pairs():
-        basis = a.hom_basis(x, y)
-        if basis:
-            arrow_map[(x, y)] = [t0.apply(x, y, b) for b in basis]
-    for y in a.object_names():
-        to_copy = po.category.hom_basis(y, po.x1)
-        if to_copy:
-            arrow_map[(y, po.x1)] = [
-                u_image @ t0.apply(y, po.x0, b) for b in to_copy
-            ]
-        from_copy = po.category.hom_basis(po.x1, y)
-        if from_copy:
-            arrow_map[(po.x1, y)] = [
-                t0.apply(po.x0, y, b) @ u_image.adjoint() for b in from_copy
-            ]
-    end = po.category.hom_basis(po.x1, po.x1)
-    if end:
-        arrow_map[(po.x1, po.x1)] = [
-            u_image @ t0.apply(po.x0, po.x0, b) @ u_image.adjoint() for b in end
-        ]
-    return star_functor(po.category, c, object_map, arrow_map)
-
-
-# ---------------------------------------------------------------------------
-# pushout: adjoining a range object for a projection matrix
 
 
 @dataclass(frozen=True)
@@ -759,6 +660,78 @@ class RnPushout:
         return tuple(m for _, m in self.bottom.arrows)
 
 
+@dataclass(frozen=True)
+class IntervalPushout(RnPushout):
+    """A category extended by a fresh unitarily isomorphic copy x1 of
+    one object x0: the range-object pushout of the 1 x 1 projection
+    matrix 1_{x0}, whose one leg is the designated unitary u: x0 -> x1
+    (concretely the unit of x0)."""
+
+    @property
+    def x0(self) -> str:
+        return self.word[0]
+
+    @property
+    def x1(self) -> str:
+        return self.r_name
+
+    @property
+    def u(self) -> ExactMatrix:
+        return self.proj
+
+
+def _adjoin_range(a: ConcreteStarCategory, g: Assignment, name: str, kind=RnPushout):
+    """Adjoin the range object of the projection matrix g under ``name``:
+    the full subcategory of the saturation on a's objects and (word, p).
+
+    The mediators reuse a cocone's stored images on a's own pairs, so
+    the materialized bases there must be a's bases."""
+    n = len(g.objects)
+    word = tuple(g.object_of(f"o{i}") for i in range(1, n + 1))
+    grid = [[g.matrix_of(f"p{i}_{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    proj = from_blocks(grid) if n else ExactMatrix.zeros(0, 0)
+    named = {x: identity_proj_object(a, x) for x in a.object_names()}
+    named[name] = ProjObject(word, proj)
+    cat = materialize_full_subcategory(LazySaturation(a), named)
+    if any(cat.hom_basis(x, y) != a.hom_basis(x, y) for x, y in a.pairs()):
+        raise ValueError("the category's hom bases are not in canonical form")
+    inclusion = star_functor(a, cat, {x: x for x in a.object_names()}, dict(a.homs))
+    # The canonical range-object assignment: the i-th arrow into the
+    # new object is the compression of the i-th summand inclusion.
+    offsets = word_offsets(a, word)
+    arrows = {
+        f"s{i}": proj.block(0, offsets[i - 1], offsets[-1], offsets[i])
+        @ a.unit(word[i - 1])
+        for i in range(1, n + 1)
+    }
+    objects = {f"o{i}": word[i - 1] for i in range(1, n + 1)}
+    objects[f"r({n})"] = name
+    bottom = assignment(cat, objects, arrows)
+    return kind(cat, inclusion, g, n, name, word, proj, bottom)
+
+
+def pushout_interval(a: ConcreteStarCategory, x0: str) -> IntervalPushout:
+    """Adjoin a second copy of ``x0`` with a connecting unitary: the
+    range-object pushout of 1_{x0}.  The copy lives on the same ambient
+    space with the same unit, so its hom spaces are those of x0."""
+    if not a.has_object(x0):
+        raise KeyError(f"no object named {x0!r}")
+    g = assignment(a, {"o1": x0}, {"p1_1": a.unit(x0)})
+    return _adjoin_range(a, g, _fresh_name(set(a.object_names()), x0 + "'"), IntervalPushout)
+
+
+def interval_mediator(
+    po: IntervalPushout, t0: StarFunctor, x1_image: str, u_image: ExactMatrix
+) -> StarFunctor:
+    """The unique functor out of an interval pushout agreeing with t0 on
+    the original category and sending the designated unitary to
+    ``u_image`` (a unitary t0(x0) -> x1_image of t0's target)."""
+    t1 = assignment(
+        t0.target, {"o1": t0.apply_object(po.x0), "r(1)": x1_image}, {"s1": u_image}
+    )
+    return rn_pushout_mediator(po, t0, t1)
+
+
 def pushout_rn(a: ConcreteStarCategory, g: Assignment) -> RnPushout:
     """Adjoin a range object for the projection matrix described by a
     representation g of the n x n projection-matrix presentation in a.
@@ -772,53 +745,7 @@ def pushout_rn(a: ConcreteStarCategory, g: Assignment) -> RnPushout:
         report = check_representation(build_universal("P", n), g)
         if not report.ok:
             raise ValueError(f"invalid projection-matrix assignment: {report.failure}")
-    r_name = _fresh_name(set(a.object_names()), f"r({n})")
-    sat = LazySaturation(a)
-    if n == 0:
-        r_obj = zero_proj_object()
-        word = ()
-        proj = r_obj.proj
-    else:
-        word = tuple(g.object_of(f"o{i}") for i in range(1, n + 1))
-        grid = [
-            [g.matrix_of(f"p{i}_{j}") for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        proj = from_blocks(grid)
-        assert proj == proj.adjoint() and proj @ proj == proj
-        r_obj = ProjObject(word, proj)
-    named = {x: identity_proj_object(a, x) for x in a.object_names()}
-    named[r_name] = r_obj
-    cat = materialize_full_subcategory(sat, named)
-    inclusion = star_functor(
-        a,
-        cat,
-        {x: x for x in a.object_names()},
-        {
-            (x, y): list(a.hom_basis(x, y))
-            for x, y in a.pairs()
-            if a.hom_basis(x, y)
-        },
-    )
-    # The canonical range-object assignment: the i-th arrow into the
-    # new object is the compression of the i-th summand inclusion.
-    offsets = word_offsets(a, word)
-    arrows = {}
-    for i in range(1, n + 1):
-        src = word[i - 1]
-        d = a.dim(src)
-        col = ExactMatrix.zeros(word_dim(a, word), d)
-        ents = list(col.entries)
-        unit = a.unit(src)
-        for r in range(d):
-            for ccol in range(d):
-                ents[(offsets[i - 1] + r) * d + ccol] = unit.entry(r, ccol)
-        col = ExactMatrix(word_dim(a, word), d, tuple(ents))
-        arrows[f"s{i}"] = proj @ col
-    objects = {f"o{i}": word[i - 1] for i in range(1, n + 1)}
-    objects[f"r({n})"] = r_name
-    bottom = assignment(cat, objects, arrows)
-    return RnPushout(cat, inclusion, g, n, r_name, word, proj, bottom)
+    return _adjoin_range(a, g, _fresh_name(set(a.object_names()), f"r({n})"))
 
 
 def rn_pushout_mediator(
@@ -829,8 +756,10 @@ def rn_pushout_mediator(
 
     t1 is a representation of the n-ary range presentation in t0's
     (concrete) target whose restriction along the projection-matrix map
-    agrees with t0 of the pushed-out assignment; the mediating functor
-    is assembled blockwise from t1's arrows.
+    agrees with t0 of the pushed-out assignment.  An object is a word W
+    with legs S (the identity for an original object, the row of t1's
+    s_i for the range object), and a basis arrow m is sent to
+    S_tgt t0(m) S_src*, with t0 applied blockwise over the words.
     """
     a = t0.source
     if a != po.inclusion.source:
@@ -860,61 +789,23 @@ def rn_pushout_mediator(
     r_image = t1.object_of(f"r({n})")
     object_map = {x: t0.apply_object(x) for x in a.object_names()}
     object_map[po.r_name] = r_image
-    offsets = word_offsets(a, po.word)
-
-    def col_block(m, j):
-        return m.block(0, offsets[j - 1], m.rows, offsets[j])
-
-    def row_block(m, i):
-        return m.block(offsets[i - 1], 0, offsets[i], m.cols)
-
-    def grid_block(m, i, j):
-        return m.block(offsets[i - 1], offsets[j - 1], offsets[i], offsets[j])
-
-    arrow_map = {}
-    for x, y in a.pairs():
-        basis = a.hom_basis(x, y)
-        if basis:
-            arrow_map[(x, y)] = [t0.apply(x, y, b) for b in basis]
-    for y in a.object_names():
-        fy = t0.apply_object(y)
-        from_r = po.category.hom_basis(po.r_name, y)
-        if from_r:
-            images = []
-            for m in from_r:
-                acc = ExactMatrix.zeros(c.dim(fy), c.dim(r_image))
-                for j in range(1, n + 1):
-                    a_j = col_block(m, j)
-                    acc = acc + t0.apply(po.word[j - 1], y, a_j) @ t1.matrix_of(
-                        f"s{j}"
-                    ).adjoint()
-                images.append(acc)
-            arrow_map[(po.r_name, y)] = images
-        to_r = po.category.hom_basis(y, po.r_name)
-        if to_r:
-            images = []
-            for m in to_r:
-                acc = ExactMatrix.zeros(c.dim(r_image), c.dim(fy))
-                for i in range(1, n + 1):
-                    b_i = row_block(m, i)
-                    acc = acc + t1.matrix_of(f"s{i}") @ t0.apply(
-                        y, po.word[i - 1], b_i
-                    )
-                images.append(acc)
-            arrow_map[(y, po.r_name)] = images
-    end_r = po.category.hom_basis(po.r_name, po.r_name)
-    if end_r:
-        images = []
-        for m in end_r:
-            acc = ExactMatrix.zeros(c.dim(r_image), c.dim(r_image))
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    c_ij = grid_block(m, i, j)
-                    acc = acc + t1.matrix_of(f"s{i}") @ t0.apply(
-                        po.word[j - 1], po.word[i - 1], c_ij
-                    ) @ t1.matrix_of(f"s{j}").adjoint()
-            images.append(acc)
-        arrow_map[(po.r_name, po.r_name)] = images
+    legs = [t1.matrix_of(f"s{i}") for i in range(1, n + 1)]
+    frames = {
+        x: (identity_proj_object(a, x), ExactMatrix.identity(c.dim(object_map[x])))
+        for x in a.object_names()
+    }
+    frames[po.r_name] = (
+        ProjObject(po.word, po.proj),
+        from_blocks([legs]) if n else ExactMatrix.zeros(c.dim(r_image), 0),
+    )
+    extension = ExtendedFunctor(t0)
+    arrow_map = dict(t0.arrow_map)
+    for (x, y), basis in po.category.homs:
+        if po.r_name in (x, y):
+            (wx, sx), (wy, sy) = frames[x], frames[y]
+            arrow_map[(x, y)] = [
+                sy @ extension.apply_arrow(wx, wy, m) @ sx.adjoint() for m in basis
+            ]
     return star_functor(po.category, c, object_map, arrow_map)
 
 
@@ -968,16 +859,26 @@ def _solve_arrow_preimage(f: StarFunctor, src, tgt, target_matrix):
     return acc
 
 
-def _check_square_commutes(f: StarFunctor, square, entries: bool):
+def _check_square_commutes(f: StarFunctor, square, vertex, prefix, entries: bool):
     """Raise ValueError unless the edges land in the functor's ends and
     the square commutes on objects and, with ``entries``, on the
-    projection-matrix entries of a range square."""
+    projection-matrix entries of a range square; ShapeError unless each
+    bottom-edge arrow ``prefix``i is dim(apex) x dim(o_i)."""
     g, h = square.top, square.bottom
     if g.target is not f.source and g.target != f.source:
         raise ValueError("top edge does not land in the functor's source")
     if h.target is not f.target and h.target != f.target:
         raise ValueError("bottom edge does not land in the functor's target")
     n = square.n
+    rows = f.target.dim(h.object_of(vertex))
+    for i in range(1, n + 1):
+        arrow = h.matrix_of(f"{prefix}{i}")
+        cols = f.target.dim(h.object_of(f"o{i}"))
+        if (arrow.rows, arrow.cols) != (rows, cols):
+            raise ShapeError(
+                f"bottom edge arrow {prefix}{i} is {arrow.rows}x{arrow.cols}, "
+                f"not {rows}x{cols}"
+            )
     for i in range(1, n + 1):
         if f.apply_object(g.object_of(f"o{i}")) != h.object_of(f"o{i}"):
             raise ValueError(f"square does not commute on object o{i}")
@@ -1010,7 +911,7 @@ def _lift_search(f: StarFunctor, square, kind, vertex, prefix, entries):
     exotic one exists outside the solved family.  With n = 0 (only R(0))
     nothing is solved and the relation 1 = 0 keeps the zero objects.
     """
-    _check_square_commutes(f, square, entries)
+    _check_square_commutes(f, square, vertex, prefix, entries)
     n, g, h = square.n, square.top, square.bottom
     a = f.source
     pres = build_universal(kind, n)

@@ -108,17 +108,18 @@ _SCALAR_RE = _re.compile(
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num_s, den_s = text.split("/")
-        num, den = int(num_s), int(den_s)
-        if den <= 0:
-            raise ScalarFormatError(f"denominator must be positive: {text!r}")
-        from math import gcd
+    num_s, slash, den_s = text.partition("/")
+    try:
+        num, den = int(num_s), int(den_s) if slash else 1
+    except ValueError as exc:  # digits only, so beyond int()'s digit limit
+        raise ScalarFormatError(f"scalar is too long: {exc}") from None
+    if den <= 0:
+        raise ScalarFormatError(f"denominator must be positive: {text!r}")
+    from math import gcd
 
-        if gcd(abs(num), den) != 1:
-            raise ScalarFormatError(f"fraction not in lowest terms: {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    if gcd(abs(num), den) != 1:
+        raise ScalarFormatError(f"fraction not in lowest terms: {text!r}")
+    return Fraction(num, den)
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -794,16 +794,24 @@ def slot_bridge(units, src_obj, src_offsets, tgt_obj, tgt_offsets, counts):
 # standard realization and Morita equivalence of categories
 
 
-def standard_realization(form: SemisimpleForm) -> ConcreteStarCategory:
-    """The canonical concrete model of a semisimple form: each object's
-    space is graded by blocks, with all block-compatible matrices."""
+def graded_realization(form: SemisimpleForm, block_ranks) -> ConcreteStarCategory:
+    """A concrete model of a semisimple shape in which each block-i
+    multiplicity slot occupies block_ranks[i] ambient dimensions; rank
+    one everywhere recovers the minimal standard model."""
+    block_ranks = tuple(block_ranks)
+    if len(block_ranks) != form.k:
+        raise ValueError("one rank per block is required")
+    if any(r < 1 for r in block_ranks):
+        raise ValueError("block ranks must be positive")
     names = form.object_names()
-    dims = {x: sum(form.class_of(x)) for x in names}
+    dims = {
+        x: sum(c * r for c, r in zip(form.class_of(x), block_ranks)) for x in names
+    }
 
     def offsets(x):
         offs = [0]
-        for m in form.class_of(x):
-            offs.append(offs[-1] + m)
+        for c, r in zip(form.class_of(x), block_ranks):
+            offs.append(offs[-1] + c * r)
         return offs
 
     homs = {}
@@ -813,14 +821,22 @@ def standard_realization(form: SemisimpleForm) -> ConcreteStarCategory:
             offx, offy = offsets(x), offsets(y)
             for i in range(form.k):
                 mx, my = form.class_of(x)[i], form.class_of(y)[i]
+                r = block_ranks[i]
                 for a in range(my):
                     for b in range(mx):
                         m = [[0] * dims[x] for _ in range(dims[y])]
-                        m[offy[i] + a][offx[i] + b] = 1
+                        for t in range(r):
+                            m[offy[i] + a * r + t][offx[i] + b * r + t] = 1
                         basis.append(ExactMatrix.from_rows(m))
             if basis:
                 homs[(x, y)] = basis
     return star_category([(x, dims[x]) for x in names], homs)
+
+
+def standard_realization(form: SemisimpleForm) -> ConcreteStarCategory:
+    """The canonical concrete model of a semisimple form: each object's
+    space is graded by blocks, with all block-compatible matrices."""
+    return graded_realization(form, (1,) * form.k)
 
 
 def witness_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):

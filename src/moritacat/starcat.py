@@ -24,7 +24,7 @@ change of basis that Q(i) cannot express.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalar import (
     ExactMatrix,
@@ -281,15 +281,10 @@ def zero_category() -> ConcreteStarCategory:
     return star_category([("z", 0)], {("z", "z"): []})
 
 
-def disjoint_union(
-    a: ConcreteStarCategory, b: ConcreteStarCategory, rename=None
-) -> ConcreteStarCategory:
+def disjoint_union(a: ConcreteStarCategory, b: ConcreteStarCategory) -> ConcreteStarCategory:
     """Coproduct of two categories; hom spaces across the two halves are
     zero.  Clashing object names are prefixed deterministically."""
-    names_a = set(a.object_names())
-    names_b = set(b.object_names())
-    if rename is None:
-        rename = bool(names_a & names_b)
+    rename = bool(set(a.object_names()) & set(b.object_names()))
     la = (lambda n: f"l.{n}") if rename else (lambda n: n)
     lb = (lambda n: f"r.{n}") if rename else (lambda n: n)
     objects = [(la(o.name), o.dim, o.unit) for o in a.objects] + [
@@ -383,16 +378,7 @@ def star_functor(source, target, object_map, arrow_map) -> StarFunctor:
 
 
 def identity_functor(cat: ConcreteStarCategory) -> StarFunctor:
-    return star_functor(
-        cat,
-        cat,
-        {x: x for x in cat.object_names()},
-        {
-            (x, y): list(cat.hom_basis(x, y))
-            for x, y in cat.pairs()
-            if cat.hom_basis(x, y)
-        },
-    )
+    return star_functor(cat, cat, {x: x for x in cat.object_names()}, dict(cat.homs))
 
 
 def validate_functor(f: StarFunctor):

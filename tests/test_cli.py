@@ -104,6 +104,18 @@ class TestValidate:
         assert run_cli("validate", str(tmp_path / "absent.json")) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "decompose", "k0"])
+    def test_oversized_scalar_exits_2(self, verb, write, capsys):
+        # int() refuses strings of more than 4,300 digits by default.
+        doc = {
+            "kind": "concrete",
+            "objects": [{"name": "x", "dim": 1}],
+            "homs": {"x->x": [[["1" + "0" * 5000]]]},
+        }
+        path = write("big.json", doc)
+        assert run_cli(verb, path) == 2
+        assert "scalar is too long" in capsys.readouterr().err
+
     def test_valid_functor_document(self, write, capsys):
         doc = jsonio.functor_to_json(identity_functor(matrix_category(2)))
         path = write("f.json", doc)
@@ -484,6 +496,7 @@ class TestGlobalContract:
                 "PATH": "/usr/bin:/bin",
                 "LC_ALL": "C",
                 "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
+                "PYTHONDONTWRITEBYTECODE": "1",
             },
         )
         assert proc.returncode == 1, proc.stderr

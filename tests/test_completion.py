@@ -190,7 +190,6 @@ def test_additive_hull_of_the_ground_category():
     assert cat.hom_dim("[x,x]", "[x,x]") == 4
     assert is_valid_category(cat)
     assert is_valid_functor(hull.embedding)
-    assert hull.truncated
     assert hull.max_word_length == 2
 
 

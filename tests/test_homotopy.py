@@ -701,6 +701,7 @@ def test_representative_certificate_survives_python_O():
         env={
             "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
             "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
         },
     )
     assert proc.returncode == 0, proc.stderr

@@ -399,6 +399,17 @@ def test_interval_mediator_rejects_non_unitary():
 # pushout along a projection matrix
 
 
+def test_pushouts_refuse_non_canonical_hom_bases():
+    # The mediators reuse a cocone's stored images on the original
+    # pairs, so the pushout must keep the original bases there.
+    raw = star_category([("x", 1)], {("x", "x"): [mat([[2]])]}, canonicalize=False)
+    with pytest.raises(ValueError, match="not in canonical form"):
+        pushout_interval(raw, "x")
+    g = assignment(raw, {"o1": "x"}, {"p1_1": mat([[1]])})
+    with pytest.raises(ValueError, match="not in canonical form"):
+        pushout_rn(raw, g)
+
+
 def _m2_with_rank_one_range():
     m2 = matrix_category(2)
     g = assignment(m2, {"o1": "x"}, {"p1_1": mat([[1, 0], [0, 0]])})
@@ -690,6 +701,29 @@ def test_sum_lift_of_a_non_sum_bottom_edge_is_none():
     )
     top = assignment(b, {"o1": "x", "o2": "x"}, {})
     assert sum_lift(identity_functor(b), SumSquare(2, top, not_a_sum)) is None
+
+
+def test_sum_lift_refuses_a_wrong_shaped_bottom_arrow():
+    # hom(x, s) is 2x1: a 3x1 v1 failed inside the solve step with an
+    # IndexError, and a 1x1 v1 cut the solved system short to "no lift".
+    b, collapse, top, bottom = _doubled_sum_of_two_points()
+    for v1 in (mat([[1], [0], [0]]), mat([[1]])):
+        wrong = assignment(
+            b,
+            {"o1": "x", "o2": "x", "s(2)": "s"},
+            {"v1": v1, "v2": bottom.matrix_of("v2")},
+        )
+        with pytest.raises(ShapeError, match="bottom edge arrow v1"):
+            sum_lift(collapse, SumSquare(2, top, wrong))
+
+
+def test_rlp_lift_refuses_a_wrong_shaped_bottom_arrow():
+    m2, po = _m2_with_rank_one_range()
+    cat = po.category
+    g = assignment(cat, {"o1": "x"}, {"p1_1": mat([[1, 0], [0, 0]])})
+    wrong = assignment(cat, {"o1": "x", "r(1)": "r(1)"}, {"s1": mat([[1], [0]])})
+    with pytest.raises(ShapeError, match="bottom edge arrow s1 is 2x1, not 2x2"):
+        rlp_lift(identity_functor(cat), LiftSquare(1, g, wrong))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ class TestScalarStrings:
             with pytest.raises(ScalarFormatError):
                 parse_scalar(bad)
 
+    def test_rejects_more_digits_than_int_converts(self):
+        for text in ["1" + "0" * 5000, "1/1" + "0" * 5000, "0-1" + "0" * 5000 + "*i"]:
+            with pytest.raises(ScalarFormatError, match="scalar is too long"):
+                parse_scalar(text)
+
 
 # ---------------------------------------------------------------------------
 # matrices
