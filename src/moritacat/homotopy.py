@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .completion import (
     ExtendedFunctor,
@@ -34,7 +35,7 @@ from .completion import (
     saturation_inclusion_of,
     word_dim,
 )
-from .scalar import ExactMatrix, SingularMatrixError, ZERO, block_diag, span_membership
+from .scalar import ExactMatrix, ZERO, block_diag, span_membership
 from .semisimple import (
     Decomposition,
     SemisimpleForm,
@@ -185,15 +186,33 @@ def ho_is_iso(f: ClassMatrix) -> bool:
     return all(map(_is_unit_vector, f.mult)) and all(map(_is_unit_vector, zip(*f.mult)))
 
 
+def _rational_inverse(rows):
+    """Exact inverse of an integer matrix over the rationals, or None."""
+    n = len(rows)
+    aug = [
+        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def _integer_inverse(rows):
     """The inverse over the integers of a square integer matrix, or None."""
-    try:
-        inv = ExactMatrix.from_rows(rows).inverse()
-    except SingularMatrixError:
+    inv = _rational_inverse(rows)
+    if inv is None or any(e.denominator != 1 for row in inv for e in row):
         return None
-    if any(e.im != 0 or e.re.denominator != 1 for e in inv.entries):
-        return None
-    return [[int(e.re) for e in inv.row(i)] for i in range(inv.rows)]
+    return [[int(e) for e in row] for row in inv]
 
 
 def gc_is_iso(f: ClassMatrix) -> bool:

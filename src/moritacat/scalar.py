@@ -108,9 +108,11 @@ _SCALAR_RE = _re.compile(
 
 
 def _parse_fraction(text: str) -> Fraction:
-    num_s, slash, den_s = text.partition("/")
     try:
-        num, den = int(num_s), int(den_s) if slash else 1
+        if "/" not in text:
+            return Fraction(int(text))
+        num_s, den_s = text.split("/")
+        num, den = int(num_s), int(den_s)
     except ValueError as exc:  # digits only, so beyond int()'s digit limit
         raise ScalarFormatError(f"scalar is too long: {exc}") from None
     if den <= 0:
