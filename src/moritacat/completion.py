@@ -302,7 +302,8 @@ def materialize_full_subcategory(sat: LazySaturation, named_objects):
             basis = sat.hom_basis(oa, ob)
             if basis:
                 homs[(na, nb)] = basis
-    return star_category(decls, homs)
+    # The saturation's bases are already canonical and nonzero.
+    return star_category(decls, homs, canonicalize=False)
 
 
 # --- functors into a saturation ---------------------------------------

@@ -122,7 +122,8 @@ def star_category(objects, homs, canonicalize=True) -> ConcreteStarCategory:
     With canonicalize=True (the default) each hom span is replaced by
     its reduced-echelon basis and zero spans are dropped; this is the
     invariant every operation in the library expects.  Pass False only
-    to inspect raw input with validate_category.
+    for bases that already hold it, or to inspect raw input with
+    validate_category.
     """
     decls = []
     for spec in objects:
