@@ -23,6 +23,7 @@ from moritacat.scalar import (
     from_blocks,
     hstack,
     kron,
+    linear_combination,
     matrix,
     orthogonal_projection_onto,
     parse_scalar,
@@ -239,6 +240,105 @@ class TestSpans:
         x = solve_right(a, b)
         assert a @ x == b
         assert solve_right(matrix([[1, 1], [1, 1]]), matrix([[0], [1]])) is None
+
+    def test_solve_right_without_equations(self):
+        x = solve_right(ExactMatrix.zeros(0, 2), ExactMatrix.zeros(0, 3))
+        assert x == ExactMatrix.zeros(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the solver contract, on small matrices of every rank and of empty shapes
+
+contract = settings(derandomize=True, max_examples=150, deadline=None)
+
+small_entries = st.one_of(
+    st.just(gr(0)),
+    st.builds(
+        GaussianRational,
+        st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        st.fractions(min_value=-1, max_value=1, max_denominator=2),
+    ),
+)
+
+
+def _dense(draw, rows, cols):
+    n = rows * cols
+    return ExactMatrix(
+        rows, cols, tuple(draw(st.lists(small_entries, min_size=n, max_size=n)))
+    )
+
+
+@st.composite
+def exact_matrices(draw, rows, cols):
+    """A dense matrix, or a product through at most two columns, which is
+    rank-deficient whenever both sides exceed two."""
+    if draw(st.booleans()):
+        return _dense(draw, rows, cols)
+    inner = draw(st.integers(0, 2))
+    return _dense(draw, rows, inner) @ _dense(draw, inner, cols)
+
+
+@st.composite
+def systems(draw, rows=st.integers(0, 3)):
+    """A pair (a, b) for a @ x = b, consistent by construction or drawn
+    freely."""
+    n, m, k = draw(rows), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a = draw(exact_matrices(n, m))
+    if draw(st.booleans()):
+        return a, a @ draw(exact_matrices(m, k))
+    return a, draw(exact_matrices(n, k))
+
+
+def pivot_columns(a):
+    basis = echelon_basis([a.row(i) for i in range(a.rows)])
+    return {next(j for j, x in enumerate(row) if x) for row in basis}
+
+
+def columns(a):
+    return [tuple(a.entry(i, j) for i in range(a.rows)) for j in range(a.cols)]
+
+
+class TestSolverContract:
+    @contract
+    @given(systems())
+    def test_solve_right(self, system):
+        a, b = system
+        x = solve_right(a, b)
+        if hstack([a, b]).rank() > a.rank():
+            assert x is None
+            return
+        assert x is not None
+        assert (x.rows, x.cols) == (a.cols, b.cols)
+        assert a @ x == b
+        pivots = pivot_columns(a)
+        for j in range(a.cols):
+            if j not in pivots:
+                assert all(e.is_zero() for e in x.row(j))
+
+    @contract
+    @given(st.integers(0, 2), st.integers(0, 2), st.data())
+    def test_combinations_agree_with_solve_right(self, r, c, data):
+        a, b = data.draw(systems(rows=st.just(r * c)))
+        for t in columns(b):
+            x = solve_right(a, ExactMatrix(a.rows, 1, t))
+            coeffs = linear_combination(columns(a), t)
+            basis = [ExactMatrix(r, c, v) for v in columns(a)]
+            membership = span_membership(ExactMatrix(r, c, t), basis)
+            if x is None:
+                assert coeffs is None and membership is None
+            else:
+                assert coeffs == membership == list(x.entries)
+
+    @contract
+    @given(st.integers(0, 3).flatmap(lambda n: exact_matrices(n, n)))
+    def test_inverse(self, a):
+        n = a.rows
+        if a.rank() < n:
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert a @ inv == inv @ a == ExactMatrix.identity(n)
 
 
 # ---------------------------------------------------------------------------
