@@ -55,7 +55,6 @@ from .starcat import (
     validate_category,
     validate_functor,
 )
-from .presentations import Presentation
 
 EXIT_OK = 0
 EXIT_NO = 1

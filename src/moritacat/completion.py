@@ -134,9 +134,6 @@ class LazySaturation:
     def __hash__(self):
         return hash(self.base)
 
-    def iota_object(self, name: str) -> ProjObject:
-        return identity_proj_object(self.base, name)
-
     def has_object(self, obj: ProjObject) -> bool:
         """Letters name base objects and the projection has the word's
         shape; the projection laws are checked by ``object_problems``."""
@@ -254,12 +251,6 @@ class TruncatedHull:
     embedding: StarFunctor
     words: tuple  # sorted tuple of (object name, word tuple)
     max_word_length: int
-
-    def word_of(self, name: str):
-        for n, w in self.words:
-            if n == name:
-                return w
-        raise KeyError(name)
 
 
 def additive_hull(base: ConcreteStarCategory, max_word_length: int) -> TruncatedHull:

@@ -35,7 +35,14 @@ from .completion import (
     saturation_inclusion_of,
     word_dim,
 )
-from .scalar import ExactMatrix, ZERO, block_diag, span_membership
+from .scalar import (
+    ZERO,
+    CertificateError,
+    ExactMatrix,
+    block_diag,
+    combine,
+    span_membership,
+)
 from .semisimple import (
     Decomposition,
     SemisimpleForm,
@@ -50,12 +57,6 @@ from .starcat import ConcreteStarCategory, StarFunctor, star_category, star_func
 
 # ---------------------------------------------------------------------------
 # morphisms of the homotopy category
-
-
-class CertificateError(Exception):
-    """An exact check of a constructed witness failed.  The witnesses
-    are built to pass these checks, so this signals a bug, never a
-    property of the input; unlike an assert it survives ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -416,18 +417,14 @@ def representative_functor(
                         continue
                     unit_elements.append(mu.unit(sa, sb))
                     unit_images.append(unit_image(x, y, i, cb, ca))
+        rows = word_dim(b, object_map[y].word)
+        cols = word_dim(b, object_map[x].word)
         images = []
         for belt in basis:
             coeffs = span_membership(belt, unit_elements)
             if coeffs is None:
                 raise CertificateError("hom element outside matrix-unit span")
-            acc = ExactMatrix.zeros(
-                word_dim(b, object_map[y].word), word_dim(b, object_map[x].word)
-            )
-            for coef, img in zip(coeffs, unit_images):
-                if not coef.is_zero():
-                    acc = acc + img.scale(coef)
-            images.append(acc)
+            images.append(combine(coeffs, unit_images, rows, cols))
         arrow_map[(x, y)] = images
     return saturation_functor(a, b, object_map, arrow_map)
 

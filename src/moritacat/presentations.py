@@ -39,6 +39,7 @@ from .scalar import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
+    combine,
     from_blocks,
     linear_combination,
 )
@@ -655,10 +656,6 @@ class RnPushout:
     proj: ExactMatrix
     bottom: Assignment
 
-    @property
-    def s_matrices(self):
-        return tuple(m for _, m in self.bottom.arrows)
-
 
 @dataclass(frozen=True)
 class IntervalPushout(RnPushout):
@@ -842,21 +839,11 @@ def _solve_arrow_preimage(f: StarFunctor, src, tgt, target_matrix):
     Unique whenever the hom component of F is injective (always, for
     trivial fibrations)."""
     basis = f.source.hom_basis(src, tgt)
-    if not basis:
-        rows = f.source.dim(tgt)
-        cols = f.source.dim(src)
-        return ExactMatrix.zeros(rows, cols) if target_matrix.is_zero() else None
-    images = [f.apply(src, tgt, b) for b in basis]
-    coeffs = linear_combination(
-        [img.flatten() for img in images], target_matrix.flatten()
-    )
+    images = [f.apply(src, tgt, b).flatten() for b in basis]
+    coeffs = linear_combination(images, target_matrix.flatten())
     if coeffs is None:
         return None
-    acc = ExactMatrix.zeros(f.source.dim(tgt), f.source.dim(src))
-    for c, b in zip(coeffs, basis):
-        if not c.is_zero():
-            acc = acc + b.scale(c)
-    return acc
+    return combine(coeffs, basis, f.source.dim(tgt), f.source.dim(src))
 
 
 def _check_square_commutes(f: StarFunctor, square, vertex, prefix, entries: bool):

@@ -2,8 +2,12 @@
 
 Scalars are elements of Q(i), stored as a pair of arbitrary-precision
 rationals.  Matrices are dense, row-major, immutable.  All algorithms
-(echelon form, rank, inversion, span membership, range projections) are
-exact; nothing in this module touches floating point.
+are exact; nothing in this module touches floating point.
+
+One Gauss-Jordan elimination, ``_row_echelon``, underlies every query.
+One augmented solve on it, ``_solve``, answers ``solve_right``,
+``linear_combination``, ``span_membership`` and ``ExactMatrix.inverse``,
+and ``combine`` builds the sums of scaled matrices they describe.
 
 Canonical forms matter: subspaces of matrix spaces are always represented
 by the reduced row-echelon basis of their flattened entry vectors, which
@@ -27,6 +31,12 @@ class SingularMatrixError(ArithmeticError):
 
 class ScalarFormatError(ValueError):
     """A scalar string did not match the canonical format."""
+
+
+class CertificateError(Exception):
+    """An exact check of a constructed witness failed.  The witnesses
+    are built to pass these checks, so this signals a bug, never a
+    property of the input; unlike an assert it survives ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,12 @@ class ExactMatrix:
     entries: tuple  # row-major tuple of GaussianRational, length rows*cols
 
     def __post_init__(self):
-        assert self.rows >= 0 and self.cols >= 0
-        assert len(self.entries) == self.rows * self.cols
+        if self.rows < 0 or self.cols < 0:
+            raise ShapeError(f"negative shape {self.rows}x{self.cols}")
+        if len(self.entries) != self.rows * self.cols:
+            raise ShapeError(
+                f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix"
+            )
 
     # --- constructors -------------------------------------------------
 
@@ -302,18 +316,10 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
             raise ShapeError("only square matrices can be inverted")
-        n = self.rows
-        aug = [
-            list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        reduced, pivots = _row_echelon(aug, reduce=True, stop_col=n)
-        if len(pivots) != n:
+        inv = solve_right(self, ExactMatrix.identity(self.rows))
+        if inv is None:
             raise SingularMatrixError("matrix is singular")
-        inv_rows = [None] * n
-        for r, p in enumerate(pivots):
-            inv_rows[p] = reduced[r][n:]
-        return ExactMatrix.from_rows(inv_rows)
+        return inv
 
     def __str__(self):
         return "[" + "; ".join(
@@ -410,13 +416,12 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # --- echelon machinery ------------------------------------------------
 
 
-def _row_echelon(rows, reduce=True, stop_col=None):
-    """In-place Gaussian elimination on a list of lists.
+def _row_echelon(rows, stop_col=None):
+    """In-place Gauss-Jordan elimination on a list of lists.
 
-    Returns (rows, pivot_columns).  With reduce=True the result is the
-    reduced echelon form: pivots are 1 and are the only nonzero entries
-    in their columns.  stop_col limits pivot search to the first columns
-    (used for augmented systems).
+    Returns (rows, pivot_columns) in reduced echelon form: pivots are 1
+    and are the only nonzero entries in their columns.  stop_col limits
+    pivot search to the first columns (used for augmented systems).
     """
     if not rows:
         return rows, []
@@ -435,8 +440,7 @@ def _row_echelon(rows, reduce=True, stop_col=None):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = ONE / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
-        rng = range(len(rows)) if reduce else range(r + 1, len(rows))
-        for i in rng:
+        for i in range(len(rows)):
             if i == r:
                 continue
             factor = rows[i][c]
@@ -457,7 +461,7 @@ def echelon_basis(vectors):
     equal iff their echelon bases are equal as tuples.
     """
     rows = [list(v) for v in vectors]
-    reduced, pivots = _row_echelon(rows, reduce=True)
+    reduced, pivots = _row_echelon(rows)
     return tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
 
@@ -536,7 +540,7 @@ def nullspace(rows):
     if not rows:
         return ()
     n = len(rows[0])
-    reduced, pivots = _row_echelon(rows, reduce=True)
+    reduced, pivots = _row_echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -549,23 +553,43 @@ def nullspace(rows):
     return tuple(basis)
 
 
+def _solve(aug, unknowns, width):
+    """One solution of an augmented system, or None if it is inconsistent.
+
+    Each row of aug holds the coefficients of the unknowns, then width
+    right-hand sides.  The solution has one row of width values per
+    unknown: the reduced pivot rows in place, zero at the free unknowns.
+    """
+    reduced, pivots = _row_echelon(aug, stop_col=unknowns)
+    for row in reduced[len(pivots):]:
+        if any(not x.is_zero() for x in row[unknowns:]):
+            return None
+    x = [[ZERO] * width for _ in range(unknowns)]
+    for row, p in zip(reduced, pivots):
+        x[p] = row[unknowns:]
+    return x
+
+
 def linear_combination(vectors, target):
     """Coefficients writing target as a combination of the vectors
     (tuples over Q(i)), or None.  Deterministic particular solution."""
     vectors = list(vectors)
-    n = len(target)
-    k = len(vectors)
-    if k == 0:
-        return [] if all(x.is_zero() for x in target) else None
-    aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    reduced, pivots = _row_echelon(aug, reduce=True, stop_col=k)
-    for r in range(len(pivots), len(reduced)):
-        if not reduced[r][k].is_zero():
-            return None
-    coeffs = [ZERO] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][k]
-    return coeffs
+    aug = [[v[i] for v in vectors] + [t] for i, t in enumerate(target)]
+    x = _solve(aug, len(vectors), 1)
+    return None if x is None else [row[0] for row in x]
+
+
+def combine(coeffs, matrices, rows: int, cols: int) -> ExactMatrix:
+    """The rows x cols matrix sum of c * m over paired coefficients and
+    matrices; zero coefficients are skipped, so an empty sum is zero."""
+    acc = [ZERO] * (rows * cols)
+    for c, m in zip(coeffs, matrices):
+        if c.is_zero():
+            continue
+        if m.rows != rows or m.cols != cols:
+            raise ShapeError(f"combining a {m.rows}x{m.cols} matrix into {rows}x{cols}")
+        acc = [a + c * x for a, x in zip(acc, m.entries)]
+    return ExactMatrix(rows, cols, tuple(acc))
 
 
 def span_membership(target: ExactMatrix, basis):
@@ -579,30 +603,11 @@ def span_membership(target: ExactMatrix, basis):
     for b in basis:
         if b.rows != target.rows or b.cols != target.cols:
             raise ShapeError("span_membership with mismatched shapes")
-    n = target.rows * target.cols
-    k = len(basis)
-    if k == 0:
-        return [] if target.is_zero() else None
-    # Columns are the flattened basis matrices; solve A c = t.
-    aug = []
-    flat_b = [b.flatten() for b in basis]
-    flat_t = target.flatten()
-    for i in range(n):
-        aug.append([flat_b[j][i] for j in range(k)] + [flat_t[i]])
-    reduced, pivots = _row_echelon(aug, reduce=True, stop_col=k)
-    coeffs = [ZERO] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][k]
-    # Consistency: rows with zero coefficient part must have zero rhs.
-    for r in range(len(pivots), len(reduced)):
-        if not reduced[r][k].is_zero():
-            return None
+    coeffs = linear_combination([b.flatten() for b in basis], target.flatten())
+    if coeffs is None:
+        return None
     # Verify (cheap, guards against dependent-basis subtleties).
-    acc = ExactMatrix.zeros(target.rows, target.cols)
-    for c, b in zip(coeffs, basis):
-        if not c.is_zero():
-            acc = acc + b.scale(c)
-    if acc != target:
+    if combine(coeffs, basis, target.rows, target.cols) != target:
         return None
     return coeffs
 
@@ -611,17 +616,11 @@ def solve_right(a: ExactMatrix, b: ExactMatrix):
     """One exact solution x of a @ x = b, or None if inconsistent."""
     if a.rows != b.rows:
         raise ShapeError("solve_right shape mismatch")
-    n, m, k = a.rows, a.cols, b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
-    reduced, pivots = _row_echelon(aug, reduce=True, stop_col=m)
-    for r in range(len(pivots), n):
-        if any(not reduced[r][m + j].is_zero() for j in range(k)):
-            return None
-    x = [[ZERO] * k for _ in range(m)]
-    for r, p in enumerate(pivots):
-        for j in range(k):
-            x[p][j] = reduced[r][m + j]
-    return ExactMatrix.from_rows(x) if m > 0 else ExactMatrix.zeros(0, k)
+    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    x = _solve(aug, a.cols, b.cols)
+    if x is None:
+        return None
+    return ExactMatrix(a.cols, b.cols, tuple(e for row in x for e in row))
 
 
 def range_projection(e: ExactMatrix) -> ExactMatrix:
@@ -630,28 +629,25 @@ def range_projection(e: ExactMatrix) -> ExactMatrix:
     For an idempotent e the element p = e e* (1 + (e-e*)(e*-e))^(-1)
     is the unique projection with p e = e and e p = p; it lies in every
     adjoint-closed unital algebra containing e.  The inverted factor is
-    1 plus a positive semidefinite matrix, hence always invertible; a
-    singular pivot here means the input was not idempotent.
+    1 plus a positive semidefinite matrix, hence always invertible.
     """
     if not e.is_square():
         raise ShapeError("range_projection needs a square matrix")
     if e @ e != e:
         raise ValueError("range_projection: input is not idempotent")
     d = e - e.adjoint()
-    m = ExactMatrix.identity(e.rows) + d @ d.adjoint()
-    try:
-        inv = m.inverse()
-    except SingularMatrixError as exc:  # pragma: no cover - unreachable
-        raise SingularMatrixError(
-            "range_projection: 1 + (e-e*)(e-e*)* was singular, which is "
-            "impossible for an idempotent input"
-        ) from exc
+    inv = (ExactMatrix.identity(e.rows) + d @ d.adjoint()).inverse()
     p = e @ e.adjoint() @ inv
-    assert p @ p == p, "range projection is not idempotent"
-    assert p == p.adjoint(), "range projection is not self-adjoint"
-    assert p @ e == e, "range projection does not fix the idempotent"
-    assert e @ p == p, "range projection is not absorbed by the idempotent"
-    assert p.rank() == e.rank(), "range projection changed the rank"
+    if p @ p != p:
+        raise CertificateError("range projection is not idempotent")
+    if p != p.adjoint():
+        raise CertificateError("range projection is not self-adjoint")
+    if p @ e != e:
+        raise CertificateError("range projection does not fix the idempotent")
+    if e @ p != p:
+        raise CertificateError("range projection is not absorbed by the idempotent")
+    if p.rank() != e.rank():
+        raise CertificateError("range projection changed the rank")
     return p
 
 

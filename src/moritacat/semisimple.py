@@ -31,8 +31,11 @@ from .scalar import (
     GaussianRational,
     MatrixSpan,
     block_diag,
+    combine,
+    echelon_basis,
     linear_combination,
     nullspace,
+    orthogonal_projection_onto,
     span_membership,
 )
 from .starcat import ConcreteStarCategory, star_category
@@ -263,15 +266,10 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
     )
 
     def to_family(vec):
-        fam = {}
-        for x in order:
-            acc = ExactMatrix.zeros(cat.dim(x), cat.dim(x))
-            for k, basis_elt in enumerate(end_bases[x]):
-                c = vec[var_offset[x] + k]
-                if not c.is_zero():
-                    acc = acc + basis_elt.scale(c)
-            fam[x] = acc
-        return fam
+        return {
+            x: combine(vec[var_offset[x] :], end_bases[x], cat.dim(x), cat.dim(x))
+            for x in order
+        }
 
     center = [to_family(v) for v in center_vectors]
     unit_family = {x: cat.unit(x) for x in order}
@@ -474,14 +472,6 @@ class MinimalProjectionError(Exception):
     realizations.)"""
 
 
-def _column_space_basis(m: ExactMatrix):
-    """Vectors (tuples) spanning the column space."""
-    from .scalar import echelon_basis
-
-    cols = [tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)]
-    return echelon_basis(cols)
-
-
 def _commutant(dim, unit, span_matrices):
     """All T with T = unit T = T unit commuting with every span
     element, as a list of matrices."""
@@ -550,7 +540,10 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
             "over Q(i)"
         )
     span = MatrixSpan(dim, dim, list(span_matrices))
-    col_vectors = [list(v) for v in _column_space_basis(unit)]
+    columns = unit.transpose()
+    col_vectors = [
+        list(v) for v in echelon_basis([columns.row(j) for j in range(columns.rows)])
+    ]
     candidates = list(col_vectors)
     iu = GaussianRational(Fraction(0), Fraction(1))
     for a in range(len(col_vectors)):
@@ -560,8 +553,6 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
             candidates.append([x - y for x, y in zip(va, vb)])
             candidates.append([x + iu * y for x, y in zip(va, vb)])
             candidates.append([x - iu * y for x, y in zip(va, vb)])
-    from .scalar import echelon_basis
-
     for w in candidates:
         wcol = ExactMatrix(dim, 1, tuple(w))
         orbit = [c @ wcol for c in commutant]
@@ -571,8 +562,6 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
         cols = ExactMatrix.from_rows(
             [[basis[j][i] for j in range(len(basis))] for i in range(dim)]
         )
-        from .scalar import orthogonal_projection_onto
-
         e = orthogonal_projection_onto(cols)
         if not span.contains(e):
             continue

@@ -30,6 +30,7 @@ from .scalar import (
     ExactMatrix,
     MatrixSpan,
     ShapeError,
+    combine,
     span_membership,
 )
 
@@ -337,11 +338,8 @@ class StarFunctor:
         if coeffs is None:
             raise ValueError("matrix is not in the source hom span")
         fs, ft = self.apply_object(src), self.apply_object(tgt)
-        acc = ExactMatrix.zeros(self.target.dim(ft), self.target.dim(fs))
-        for c, img in zip(coeffs, self.images(src, tgt)):
-            if not c.is_zero():
-                acc = acc + img.scale(c)
-        return acc
+        images = self.images(src, tgt)
+        return combine(coeffs, images, self.target.dim(ft), self.target.dim(fs))
 
 
 def star_functor(source, target, object_map, arrow_map) -> StarFunctor:

@@ -4,13 +4,20 @@ Expected values were derived by hand (small eliminations and the
 projection formula evaluated step by step) and are frozen here.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moritacat
+from moritacat import homotopy
 from moritacat.scalar import (
+    CertificateError,
     ExactMatrix,
     GaussianRational,
     MatrixSpan,
@@ -18,6 +25,7 @@ from moritacat.scalar import (
     ShapeError,
     SingularMatrixError,
     block_diag,
+    combine,
     echelon_basis,
     format_scalar,
     from_blocks,
@@ -241,6 +249,13 @@ class TestSpans:
         assert a @ x == b
         assert solve_right(matrix([[1, 1], [1, 1]]), matrix([[0], [1]])) is None
 
+    def test_combine(self):
+        a, b = matrix([[1, 0]]), matrix([[0, 1]])
+        assert combine([gr(2), gr(0, 1)], [a, b], 1, 2) == matrix([[2, "0+1*i"]])
+        assert combine([], [], 2, 3) == ExactMatrix.zeros(2, 3)
+        with pytest.raises(ShapeError):
+            combine([gr(1)], [a], 2, 1)
+
     def test_solve_right_without_equations(self):
         x = solve_right(ExactMatrix.zeros(0, 2), ExactMatrix.zeros(0, 3))
         assert x == ExactMatrix.zeros(2, 3)
@@ -440,3 +455,65 @@ class TestOrthogonalProjection:
     def test_requires_independent_columns(self):
         with pytest.raises(SingularMatrixError):
             orthogonal_projection_onto(matrix([[1, 1], [1, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# shape and certificate checks survive python -O
+
+
+CHECKS_SCRIPT = """
+from moritacat.scalar import (
+    CertificateError, ExactMatrix, ShapeError, matrix, range_projection,
+)
+
+for shape in ((-1, 0, ()), (2, 2, ())):
+    try:
+        ExactMatrix(*shape)
+    except ShapeError as exc:
+        print(exc)
+    else:
+        raise SystemExit("no ShapeError")
+ExactMatrix.inverse = lambda self: ExactMatrix.identity(self.rows)
+try:
+    range_projection(matrix([[1, 1], [0, 0]]))
+except CertificateError as exc:
+    print(exc)
+else:
+    raise SystemExit("no refusal")
+"""
+
+
+class TestChecksAreRaises:
+    def test_malformed_matrix_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="negative shape"):
+            ExactMatrix(-1, 0, ())
+        with pytest.raises(ShapeError, match="1 entries for a 2x2 matrix"):
+            ExactMatrix(2, 2, (gr(0),))
+
+    def test_range_projection_certificate_raises(self, monkeypatch):
+        # With the identity for the inverse, e = [[1, 1], [0, 0]] gives
+        # p = e e* = [[2, 0], [0, 0]], which is not idempotent.
+        monkeypatch.setattr(ExactMatrix, "inverse", lambda m: ExactMatrix.identity(m.rows))
+        with pytest.raises(CertificateError, match="not idempotent"):
+            range_projection(matrix([[1, 1], [0, 0]]))
+
+    def test_homotopy_raises_the_same_certificate_error(self):
+        assert homotopy.CertificateError is CertificateError
+
+    def test_checks_survive_python_O(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CHECKS_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "negative shape -1x0",
+            "0 entries for a 2x2 matrix",
+            "range projection is not idempotent",
+        ]
