@@ -83,11 +83,17 @@ def _load_json(path):
         ) from None
 
 
-def _load_value(path):
+def _parse(path, parse, *args):
+    """parse(*args), with a SchemaError refused as a CommandError naming
+    the document's path."""
     try:
-        return jsonio.parse_document(_load_json(path))
+        return parse(*args)
     except SchemaError as exc:
         raise CommandError(f"{path}: {exc}") from None
+
+
+def _load_value(path):
+    return _parse(path, jsonio.parse_document, _load_json(path))
 
 
 def _as_concrete(value, path) -> ConcreteStarCategory:
@@ -161,10 +167,7 @@ def _class_str(cls):
 def cmd_validate(args):
     raw = _load_json(args.file)
     kind = raw.get("kind", "?") if isinstance(raw, dict) else "?"
-    try:
-        value = jsonio.parse_document(raw)
-    except SchemaError as exc:
-        raise CommandError(f"{args.file}: {exc}") from None
+    value = _parse(args.file, jsonio.parse_document, raw)
     if isinstance(value, ConcreteStarCategory):
         problems = [str(v) for v in validate_category(value)]
     elif isinstance(value, StarFunctor):
@@ -208,22 +211,23 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
+def _load_proj_object(path, cat):
+    """A saturation object of cat read from a JSON document, refused
+    with its schema error or its validate_proj_object problems."""
+    obj = _parse(path, jsonio.proj_object_from_json, _load_json(path), cat)
+    problems = validate_proj_object(cat, obj)
+    if problems:
+        raise CommandError(f"{path}: not a saturation object: " + "; ".join(problems))
+    return obj
+
+
 def cmd_saturate(args):
     cat = _load_concrete(args.file)
     sat = LazySaturation(cat)
     if args.object is not None and args.hom is not None:
         raise CommandError("--object and --hom are mutually exclusive")
     if args.object is not None:
-        obj_doc = _load_json(args.object)
-        try:
-            obj = jsonio.proj_object_from_json(obj_doc, cat)
-        except SchemaError as exc:
-            raise CommandError(f"{args.object}: {exc}") from None
-        problems = validate_proj_object(cat, obj)
-        if problems:
-            raise CommandError(
-                f"{args.object}: not a saturation object: " + "; ".join(problems)
-            )
+        obj = _load_proj_object(args.object, cat)
         doc = {
             "object": jsonio.proj_object_to_json(obj),
             "ambient_dimension": word_dim(cat, obj.word),
@@ -236,20 +240,8 @@ def cmd_saturate(args):
         _emit(args, doc, lines)
         return EXIT_OK
     if args.hom is not None:
-        src_path, tgt_path = args.hom
-        objs = []
-        for path in (src_path, tgt_path):
-            try:
-                obj = jsonio.proj_object_from_json(_load_json(path), cat)
-            except SchemaError as exc:
-                raise CommandError(f"{path}: {exc}") from None
-            problems = validate_proj_object(cat, obj)
-            if problems:
-                raise CommandError(
-                    f"{path}: not a saturation object: " + "; ".join(problems)
-                )
-            objs.append(obj)
-        basis = sat.hom_basis(objs[0], objs[1])
+        src, tgt = (_load_proj_object(path, cat) for path in args.hom)
+        basis = sat.hom_basis(src, tgt)
         doc = {
             "dimension": len(basis),
             "basis": [jsonio.matrix_to_json(m) for m in basis],
@@ -463,10 +455,7 @@ def cmd_pushout(args):
         )
     n = len(objects_doc)
     pres = build_universal("P", n) if n > 0 else build_universal("F", 0)
-    try:
-        asg = jsonio.assignment_from_json(g_doc, cat, pres, "$")
-    except SchemaError as exc:
-        raise CommandError(f"{args.rn}: {exc}") from None
+    asg = _parse(args.rn, jsonio.assignment_from_json, g_doc, cat, pres, "$")
     try:
         po = pushout_rn(cat, asg)
     except ValueError as exc:
@@ -523,11 +512,7 @@ def cmd_lift_check(args):
     value = _load_value(args.functor)
     if not isinstance(value, StarFunctor) or isinstance(value.target, LazySaturation):
         raise CommandError(f'{args.functor}: a "functor" document is required')
-    square_doc = _load_json(args.square)
-    try:
-        square = jsonio.square_from_json(square_doc, value)
-    except SchemaError as exc:
-        raise CommandError(f"{args.square}: {exc}") from None
+    square = _parse(args.square, jsonio.square_from_json, _load_json(args.square), value)
     try:
         if isinstance(square, LiftSquare):
             family = "R"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .scalar import ExactMatrix, MatrixSpan, block_diag, from_blocks
+from .scalar import CertificateError, ExactMatrix, MatrixSpan, block_diag, from_blocks
 from .starcat import (
     ConcreteStarCategory,
     StarFunctor,
@@ -349,9 +349,8 @@ class ExtendedFunctor:
         )
         proj = self._apply_blocks(obj, obj, obj.proj)
         image = ProjObject(word, proj)
-        assert proj @ proj == proj and proj == proj.adjoint(), (
-            "extension did not produce a projection"
-        )
+        if not (proj @ proj == proj and proj == proj.adjoint()):
+            raise CertificateError("extension did not produce a projection")
         return image
 
     def apply_arrow(self, src: ProjObject, tgt: ProjObject, m: ExactMatrix) -> ExactMatrix:

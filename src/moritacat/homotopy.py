@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .completion import (
     ExtendedFunctor,
@@ -187,43 +186,45 @@ def ho_is_iso(f: ClassMatrix) -> bool:
     return all(map(_is_unit_vector, f.mult)) and all(map(_is_unit_vector, zip(*f.mult)))
 
 
-def _rational_inverse(rows):
-    """Exact inverse of an integer matrix over the rationals, or None."""
+def _det_and_inverse(rows):
+    """(det, inverse) of a square integer matrix; the inverse over the
+    integers when det = ±1, else None.
+
+    Fraction-free Gauss–Jordan on [A | I] (Bareiss, 1968): at step k each
+    other row becomes (pivot·row − row[k]·pivot_row) // previous pivot, a
+    division that is always exact.  The left block ends as p·I with
+    det = ±p, so the right block is p·A⁻¹.  Returns det 0 at the first
+    column without a pivot."""
     n = len(rows)
-    aug = [
-        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if aug[r][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            aug[k], aug[p] = aug[p], aug[k]
+            sign = -sign
+        pivot_row = aug[k]
+        piv = pivot_row[k]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _integer_inverse(rows):
-    """The inverse over the integers of a square integer matrix, or None."""
-    inv = _rational_inverse(rows)
-    if inv is None or any(e.denominator != 1 for row in inv for e in row):
-        return None
-    return [[int(e) for e in row] for row in inv]
+            if r != k:
+                f = aug[r][k]
+                aug[r] = [(piv * e - f * pe) // prev for e, pe in zip(aug[r], pivot_row)]
+        prev = piv
+    if prev not in (1, -1):
+        return sign * prev, None
+    return sign * prev, [[e // prev for e in row[n:]] for row in aug]
 
 
 def gc_is_iso(f: ClassMatrix) -> bool:
-    """True iff the matrix is invertible over the integers."""
-    return f.source_form.k == f.target_form.k and _integer_inverse(f.mult) is not None
+    """True iff the matrix is invertible over the integers: |det| = 1."""
+    return f.source_form.k == f.target_form.k and _det_and_inverse(f.mult)[1] is not None
 
 
 def gc_inverse(f: ClassMatrix) -> ClassMatrix:
     """The inverse over the integers."""
-    inv = _integer_inverse(f.mult) if f.source_form.k == f.target_form.k else None
+    inv = _det_and_inverse(f.mult)[1] if f.source_form.k == f.target_form.k else None
     if inv is None:
         raise ValueError("not an isomorphism")
     return gc_morphism(f.target_form, f.source_form, inv)
@@ -234,7 +235,7 @@ def ho_inverse(f: ClassMatrix) -> ClassMatrix:
     inverse is its transpose and again effective)."""
     if not ho_is_iso(f):
         raise ValueError("not an isomorphism")
-    return gc_inverse(f)
+    return gc_morphism(f.target_form, f.source_form, zip(*f.mult))
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +523,16 @@ class PicardGroup:
     verify_entry_bound: int = 0
 
 
-def _invertible_over_naturals(rows) -> bool:
-    inv = _integer_inverse(rows)
-    return inv is not None and all(e >= 0 for row in inv for e in row)
-
-
 def enumerate_natural_invertibles(k: int, entry_bound: int):
     """Every k x k matrix with entries up to the bound that has an
     inverse with natural-number entries — exactly the permutation
     matrices."""
-    return [
-        rows for rows in _bounded_matrices(k, k, entry_bound)
-        if _invertible_over_naturals(rows)
-    ]
+    census = []
+    for rows in _bounded_matrices(k, k, entry_bound):
+        inv = _det_and_inverse(rows)[1]
+        if inv is not None and all(e >= 0 for row in inv for e in row):
+            census.append(rows)
+    return census
 
 
 def aut_group(a, verify: bool = False, verify_entry_bound: int = 2) -> PicardGroup:

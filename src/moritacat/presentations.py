@@ -36,6 +36,7 @@ from .completion import (
     zero_proj_object,
 )
 from .scalar import (
+    CertificateError,
     ExactMatrix,
     GaussianRational,
     ShapeError,
@@ -839,7 +840,7 @@ def _solve_arrow_preimage(f: StarFunctor, src, tgt, target_matrix):
     Unique whenever the hom component of F is injective (always, for
     trivial fibrations)."""
     basis = f.source.hom_basis(src, tgt)
-    images = [f.apply(src, tgt, b).flatten() for b in basis]
+    images = [m.flatten() for m in f.images(src, tgt)]
     coeffs = linear_combination(images, target_matrix.flatten())
     if coeffs is None:
         return None
@@ -1021,8 +1022,10 @@ def _probe_saturation(sat, samples, projections):
         for y in samples[i:]:
             total, isos = canonical_sum(base, [x, y])
             v1, v2 = isos
-            assert v1.adjoint() @ v1 == x.proj and v2.adjoint() @ v2 == y.proj
-            assert v1 @ v1.adjoint() + v2 @ v2.adjoint() == total.proj
+            if not (v1.adjoint() @ v1 == x.proj and v2.adjoint() @ v2 == y.proj):
+                raise CertificateError("a sum injection is not an isometry")
+            if v1 @ v1.adjoint() + v2 @ v2.adjoint() != total.proj:
+                raise CertificateError("the sum injections do not fill the sum")
             sums.append(SumProbe((x, y), True, total, (v1, v2)))
     if projections is None:
         projections = []
@@ -1035,7 +1038,8 @@ def _probe_saturation(sat, samples, projections):
     splits = []
     for obj, q in projections:
         rng, v = canonical_range(base, obj, q)
-        assert v.adjoint() @ v == rng.proj and v @ v.adjoint() == q
+        if not (v.adjoint() @ v == rng.proj and v @ v.adjoint() == q):
+            raise CertificateError("the range isometry does not split the projection")
         splits.append(SplitProbe(obj, None, True, rng, q, v))
     return ProbeReport("saturation", zero, tuple(sums), tuple(splits), True, "saturated")
 
@@ -1091,10 +1095,12 @@ def _probe_concrete(cat):
                     v1 = ExactMatrix.zeros(cat.dim(z), cat.dim(x))
                 if v2 is None:
                     v2 = ExactMatrix.zeros(cat.dim(z), cat.dim(y))
-                assert v1.adjoint() @ v1 == cat.unit(x)
-                assert v2.adjoint() @ v2 == cat.unit(y)
-                assert (v1.adjoint() @ v2).is_zero()
-                assert v1 @ v1.adjoint() + v2 @ v2.adjoint() == cat.unit(z)
+                if not (v1.adjoint() @ v1 == cat.unit(x) and v2.adjoint() @ v2 == cat.unit(y)):
+                    raise CertificateError("a sum injection is not an isometry")
+                if not (v1.adjoint() @ v2).is_zero():
+                    raise CertificateError("the sum injections are not orthogonal")
+                if v1 @ v1.adjoint() + v2 @ v2.adjoint() != cat.unit(z):
+                    raise CertificateError("the sum injections do not fill the sum")
                 isos = (v1, v2)
             elif ok:
                 note = units_note
@@ -1115,8 +1121,10 @@ def _probe_concrete(cat):
                 if v is None:
                     v = ExactMatrix.zeros(cat.dim(x), cat.dim(r))
                 proj = v @ v.adjoint()
-                assert v.adjoint() @ v == cat.unit(r)
-                assert proj @ cat.unit(x) == proj and cat.unit(x) @ proj == proj
+                if v.adjoint() @ v != cat.unit(r):
+                    raise CertificateError("the range bridge is not an isometry")
+                if not (proj @ cat.unit(x) == proj and cat.unit(x) @ proj == proj):
+                    raise CertificateError("the range projection is not under the unit")
                 iso = v
             elif ok:
                 note = units_note

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 from .completion import ProjObject
 from .scalar import (
+    CertificateError,
     ExactMatrix,
     GaussianRational,
     MatrixSpan,
@@ -137,7 +138,8 @@ def _depress(coeffs):
             continue
         for j in range(k + 1):
             out[j] += c * math.comb(k, j) * s ** (k - j)
-    assert out[d] == 1 and out[d - 1] == 0
+    if not (out[d] == 1 and out[d - 1] == 0):
+        raise CertificateError("the depressed polynomial is not monic without a t^(d-1) term")
     return tuple(out)
 
 
@@ -350,7 +352,8 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
                     "a consistent multiple of the multiplicity"
                 )
             k_i = r // m
-        assert k_i is not None, "block with no supporting object"
+        if k_i is None:
+            raise CertificateError("block with no supporting object")
         unit_ranks.append(k_i)
 
     # Reconstruction check: hom dimensions must match the block data.
@@ -434,7 +437,8 @@ def _split_piece(cat, order, e, h):
     total = out[0]
     for f in out[1:]:
         total = {x: total[x] + f[x] for x in order}
-    assert all(total[x] == e[x] for x in order), "Lagrange idempotents do not sum to the piece"
+    if not all(total[x] == e[x] for x in order):
+        raise CertificateError("Lagrange idempotents do not sum to the piece")
     return out
 
 
@@ -589,7 +593,8 @@ def minimal_projection(decomp: Decomposition, block) -> ProjObject:
         if decomp.object_mult[x][i] > 0:
             support = x
             break
-    assert support is not None
+    if support is None:
+        raise CertificateError("block with no supporting object")
     z = decomp.centrals[i][support]
     m = decomp.object_mult[support][i]
     k = decomp.unit_ranks[i]
@@ -599,7 +604,8 @@ def minimal_projection(decomp: Decomposition, block) -> ProjObject:
     e = _minimal_projection_in_span(cat.dim(support), z, block_span, m, k)
     obj = ProjObject((support,), e)
     cls = object_class(decomp, obj)
-    assert cls == tuple(1 if j == i else 0 for j in range(len(decomp.blocks)))
+    if cls != tuple(1 if j == i else 0 for j in range(len(decomp.blocks))):
+        raise CertificateError("the minimal projection is not of class one in its block")
     return obj
 
 
@@ -672,7 +678,8 @@ def rational_as_norm(q: Fraction):
     result = GaussianRational(
         Fraction(g[0], q.denominator), Fraction(g[1], q.denominator)
     )
-    assert result.norm() == q
+    if result.norm() != q:
+        raise CertificateError(f"{result} does not have norm {q}")
     return result
 
 
@@ -740,15 +747,16 @@ def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
         basis = cat.hom_basis(ref_obj, x)
         compressed = [f @ b @ ref_proj for b in basis]
         span = MatrixSpan(cat.dim(x), cat.dim(ref_obj), compressed)
-        assert span.dim == 1, "minimal-to-minimal hom is not a line"
+        if span.dim != 1:
+            raise CertificateError("minimal-to-minimal hom is not a line")
         t = span.matrices[0]
         # t* t is a positive rational multiple of the reference
         # projection; rescale t to a partial isometry exactly.
         tt = t.adjoint() @ t
         coeffs = span_membership(tt, [ref_proj])
-        assert coeffs is not None and coeffs[0].im == 0
+        if coeffs is None or coeffs[0].im != 0 or coeffs[0].re <= 0:
+            raise CertificateError("t* t is not a positive multiple of the reference projection")
         lam = coeffs[0].re
-        assert lam > 0
         mu = rational_as_norm(lam)
         if mu is None:
             raise WitnessObstruction(
@@ -756,8 +764,8 @@ def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
                 "not a norm from Q(i)"
             )
         u = t.scale(GaussianRational(Fraction(1), Fraction(0)) / mu)
-        assert u.adjoint() @ u == ref_proj
-        assert u @ u.adjoint() == f
+        if not (u.adjoint() @ u == ref_proj and u @ u.adjoint() == f):
+            raise CertificateError("the matrix unit is not a partial isometry onto its slot")
         from_reference.append(u)
     return MatrixUnitSystem(i, tuple(slots), tuple(diagonal), tuple(from_reference))
 

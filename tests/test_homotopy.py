@@ -4,11 +4,14 @@ brute-force normal-form oracle."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+import sympy
 
 import moritacat
 from moritacat import homotopy
@@ -485,6 +488,43 @@ def test_enumeration_finds_exactly_the_permutations():
     assert len(enumerate_natural_invertibles(1, 3)) == 1
     census = enumerate_natural_invertibles(2, 2)
     assert sorted(census) == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
+
+
+def _oracle_matrices():
+    """Every 2x2 matrix with entries -2..2, then a seeded sample of 3x3
+    and 4x4 matrices with entries -3..3."""
+    cases = [[flat[:2], flat[2:]] for flat in itertools.product(range(-2, 3), repeat=4)]
+    rng = random.Random(16)
+    for n, count in ((3, 300), (4, 400)):
+        cases += [
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(count)
+        ]
+    return cases
+
+
+def test_det_and_inverse_match_sympy():
+    kinds = set()
+    for rows in _oracle_matrices():
+        det, inv = homotopy._det_and_inverse(rows)
+        expected = sympy.Matrix(rows)
+        assert det == expected.det(), rows
+        if abs(det) == 1:
+            assert sympy.Matrix(inv) == expected.inv(), rows
+        else:
+            assert inv is None, rows
+        kinds.add((len(rows), min(abs(det), 2)))
+    # singular, unimodular and |det| > 1 cases at every size
+    assert kinds == {(n, d) for n in (2, 3, 4) for d in (0, 1, 2)}
+
+
+def test_census_at_bound_two_is_the_six_permutations():
+    start = time.process_time()
+    census = enumerate_natural_invertibles(3, 2)
+    assert time.process_time() - start < 2.0
+    perms = itertools.permutations(range(3))
+    assert sorted(census) == sorted(
+        tuple(tuple(int(c == p[r]) for c in range(3)) for r in range(3)) for p in perms
+    )
 
 
 def test_larger_point_sets_scale_factorially():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from moritacat import semisimple
 from moritacat.completion import (
     ProjObject,
     canonical_sum,
@@ -13,7 +14,7 @@ from moritacat.completion import (
     iota,
     zero_proj_object,
 )
-from moritacat.scalar import ExactMatrix, kron, matrix
+from moritacat.scalar import CertificateError, ExactMatrix, kron, matrix
 from moritacat.semisimple import (
     NotSplitOverBaseField,
     SemisimpleForm,
@@ -268,6 +269,13 @@ def test_rational_norm_solver():
     assert rational_as_norm(Fraction(-1)) is None
     forty_nine = rational_as_norm(Fraction(49, 25))
     assert forty_nine is not None and forty_nine.norm() == Fraction(49, 25)
+
+
+def test_rational_norm_certificate_raises(monkeypatch):
+    # A wrong Gaussian integer for the prime 5 has norm 2, not 5.
+    monkeypatch.setattr(semisimple, "_two_squares_prime", lambda p: (1, 1))
+    with pytest.raises(CertificateError, match="does not have norm 5"):
+        rational_as_norm(Fraction(5))
 
 
 # --- the Morita decision -----------------------------------------------
