@@ -139,21 +139,24 @@ def _load_ho(path) -> ClassMatrix:
 # output plumbing
 
 
-def _emit(args, doc, lines):
+def _emit(args, doc, lines, code=EXIT_OK):
+    """Print doc (under --json) or the text lines; return the exit code."""
     if args.json:
         sys.stdout.write(dumps(doc))
     else:
         for line in lines:
             print(line)
+    return code
 
 
-def _emit_error(args, message, extra=None):
+def _emit_error(args, message, extra=None, code=EXIT_INVALID):
     print(f"error: {message}", file=sys.stderr)
     if args is not None and getattr(args, "json", False):
         doc = {"error": message}
         if extra:
             doc.update(extra)
         sys.stdout.write(dumps(doc))
+    return code
 
 
 def _class_str(cls):
@@ -180,10 +183,8 @@ def cmd_validate(args):
     if problems:
         lines = [f"{kind}: {len(problems)} problem(s)"]
         lines.extend(f"  - {p}" for p in problems)
-        _emit(args, doc, lines)
-        return EXIT_INVALID
-    _emit(args, doc, [f"{kind}: valid"])
-    return EXIT_OK
+        return _emit(args, doc, lines, EXIT_INVALID)
+    return _emit(args, doc, [f"{kind}: valid"])
 
 
 def cmd_decompose(args):
@@ -207,8 +208,7 @@ def cmd_decompose(args):
     lines.append("object classes:")
     for name, cls in form.object_classes:
         lines.append(f"  {name}: {_class_str(cls)}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def _load_proj_object(path, cat):
@@ -237,8 +237,7 @@ def cmd_saturate(args):
             f"valid saturation object over ({', '.join(obj.word)}): "
             f"rank {obj.proj.rank()} in ambient dimension {word_dim(cat, obj.word)}"
         ]
-        _emit(args, doc, lines)
-        return EXIT_OK
+        return _emit(args, doc, lines)
     if args.hom is not None:
         src, tgt = (_load_proj_object(path, cat) for path in args.hom)
         basis = sat.hom_basis(src, tgt)
@@ -247,8 +246,7 @@ def cmd_saturate(args):
             "basis": [jsonio.matrix_to_json(m) for m in basis],
         }
         lines = [f"hom space of dimension {len(basis)}"]
-        _emit(args, doc, lines)
-        return EXIT_OK
+        return _emit(args, doc, lines)
     images = {
         x: jsonio.proj_object_to_json(identity_proj_object(cat, x))
         for x in cat.object_names()
@@ -261,8 +259,7 @@ def cmd_saturate(args):
     for x in cat.object_names():
         lines.append(f"  {x}: word ({x}), full projection")
     lines.append("probe further objects with --object and hom spaces with --hom")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_morita(args):
@@ -272,8 +269,7 @@ def cmd_morita(args):
     if not equivalent:
         reason = f"block count {decompose(a).form.k} ≠ {decompose(b).form.k}"
         doc = {"equivalent": False, "reason": reason}
-        _emit(args, doc, [f"not Morita equivalent: {reason}"])
-        return EXIT_NO
+        return _emit(args, doc, [f"not Morita equivalent: {reason}"], EXIT_NO)
     doc = {
         "equivalent": True,
         "witness": jsonio.functor_to_json(witness) if witness is not None else None,
@@ -292,8 +288,7 @@ def cmd_morita(args):
         )
         doc["note"] = note
         lines.append(note)
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_hom(args):
@@ -319,8 +314,7 @@ def cmd_hom(args):
         lines.append(
             f"{len(elements)} element(s) with entry sum at most {args.bound}"
         )
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_compose(args):
@@ -335,8 +329,7 @@ def cmd_compose(args):
     doc = jsonio.ho_morphism_to_json(result)
     lines = ["composite multiplicity matrix:"]
     lines.extend("  " + _class_str(row) for row in result.mult)
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_picard(args):
@@ -351,8 +344,7 @@ def cmd_picard(args):
         "verified": group.verified,
         "generators": [[list(row) for row in g.mult] for g in group.generators],
     }
-    _emit(args, doc, [summary])
-    return EXIT_OK
+    return _emit(args, doc, [summary])
 
 
 def cmd_k0(args):
@@ -368,8 +360,7 @@ def cmd_k0(args):
     lines.append("object classes:")
     for name, cls in group.object_classes:
         lines.append(f"  {name}: {_class_str(cls)}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_tensor(args):
@@ -382,8 +373,7 @@ def cmd_tensor(args):
     lines.append("object classes:")
     for name, cls in product.object_classes:
         lines.append(f"  {name}: {_class_str(cls)}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_k0_ring(args):
@@ -401,8 +391,7 @@ def cmd_k0_ring(args):
         f"K0 ring: pointwise multiplication on Z^{ring.rank}, "
         f"unit {_class_str(ring.unit())}"
     ]
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_universal(args):
@@ -425,8 +414,7 @@ def cmd_universal(args):
         lines.append(f"  arrow {a.name}: {a.src} -> {a.tgt}")
     for r in pres.relations:
         lines.append(f"  relation {r}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_pushout(args):
@@ -445,8 +433,7 @@ def cmd_pushout(args):
             f"adjoined {po.x1}, a unitarily isomorphic copy of {po.x0}",
             "objects now: " + ", ".join(po.category.object_names()),
         ]
-        _emit(args, doc, lines)
-        return EXIT_OK
+        return _emit(args, doc, lines)
     g_doc = _load_json(args.rn)
     objects_doc = g_doc.get("objects") if isinstance(g_doc, dict) else None
     if not isinstance(objects_doc, dict):
@@ -471,8 +458,7 @@ def cmd_pushout(args):
         f"projection over word ({', '.join(po.word)})",
         "objects now: " + ", ".join(po.category.object_names()),
     ]
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 def cmd_fibrancy_probe(args):
@@ -504,8 +490,7 @@ def cmd_fibrancy_probe(args):
         )
     else:
         lines.extend(f"  failing: {item}" for item in report.failing())
-    _emit(args, doc, lines)
-    return EXIT_OK if report.all_pass else EXIT_NO
+    return _emit(args, doc, lines, EXIT_OK if report.all_pass else EXIT_NO)
 
 
 def cmd_lift_check(args):
@@ -524,8 +509,7 @@ def cmd_lift_check(args):
         raise CommandError(str(exc)) from None
     if lift is None:
         doc = {"family": family, "n": square.n, "found": False, "lift": None}
-        _emit(args, doc, ["no lift"])
-        return EXIT_NO
+        return _emit(args, doc, ["no lift"], EXIT_NO)
     doc = {
         "family": family,
         "n": square.n,
@@ -535,8 +519,7 @@ def cmd_lift_check(args):
     lines = ["lift found; object images:"]
     for vertex, image in lift.objects:
         lines.append(f"  {vertex} -> {image}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +715,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CommandError as exc:
-        _emit_error(args, str(exc))
-        return EXIT_INVALID
+        return _emit_error(args, str(exc))
     except NotSplitOverBaseField as exc:
-        _emit_error(
+        return _emit_error(
             args,
             "the category does not split over the Gaussian rationals: "
             f"hermitian element with minimal polynomial {exc.polynomial}",
             extra={"polynomial": exc.polynomial},
+            code=EXIT_NOT_SPLIT,
         )
-        return EXIT_NOT_SPLIT
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .scalar import (
     span_membership,
 )
 from .semisimple import (
+    BLOCK_SUM_FACTORS,
     Decomposition,
     SemisimpleForm,
     decompose,
@@ -464,15 +465,11 @@ def pointwise_sum(f: StarFunctor, g: StarFunctor) -> StarFunctor:
         isometries[x] = (vf, vg)
     arrow_map = {}
     for x, y in a.pairs():
-        basis = a.hom_basis(x, y)
-        if not basis:
-            continue
         vfx, vgx = isometries[x]
         vfy, vgy = isometries[y]
         arrow_map[(x, y)] = [
-            vfy @ f.apply(x, y, m) @ vfx.adjoint()
-            + vgy @ g.apply(x, y, m) @ vgx.adjoint()
-            for m in basis
+            vfy @ fm @ vfx.adjoint() + vgy @ gm @ vgx.adjoint()
+            for fm, gm in zip(f.images(x, y), g.images(x, y))
         ]
     return saturation_functor(a, b, object_map, arrow_map)
 
@@ -581,7 +578,8 @@ def product_probe_category(
 ) -> ConcreteStarCategory:
     """A finite family of probe objects of the product of the two
     saturations: all pairs (x or 0, y or 0), realized block-diagonally
-    with componentwise morphisms."""
+    with componentwise morphisms.  The placed bases stay canonical; the
+    registered probe's blocks are derived from those of a and b."""
     pairs = [
         (x, y)
         for x in list(a.object_names()) + [None]
@@ -608,7 +606,9 @@ def product_probe_category(
                 basis.extend(block_diag([zero, g]) for g in b.hom_basis(y1, y2))
             if basis:
                 homs[(_pair_name(x1, y1), _pair_name(x2, y2))] = basis
-    return star_category(decls, homs)
+    probe = star_category(decls, homs, canonicalize=False)
+    BLOCK_SUM_FACTORS[probe] = (a, b, tuple(pairs))
+    return probe
 
 
 def comparison_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
@@ -622,6 +622,7 @@ def comparison_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
     coproduct = star_category(
         [(o.name, o.dim, o.unit) for o in product.objects if o.name in names],
         {(x, y): m for (x, y), m in product.homs if x in names and y in names},
+        canonicalize=False,
     )
     functor = star_functor(
         coproduct,

@@ -474,7 +474,9 @@ def vector_in_span(vector, echelon_rows):
     vec = list(vector)
     coeffs = []
     for row in echelon_rows:
-        pivot_col = next(i for i, x in enumerate(row) if not x.is_zero())
+        pivot_col = next((i for i, x in enumerate(row) if not x.is_zero()), None)
+        if pivot_col is None:  # a zero row: not an echelon basis
+            return None
         c = vec[pivot_col]
         coeffs.append(c)
         if not c.is_zero():

@@ -21,6 +21,7 @@ happens to be realized.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -229,9 +230,29 @@ class Decomposition:
         return block_diag([z[x] for x in word])
 
 
+# Probes of homotopy.product_probe_category, weakly keyed, -> (a, b, pairs):
+# object n is pairs[n] = (x of a or None, y of b or None), block-diagonal.
+BLOCK_SUM_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _sort_key(order, fam):
+    """Deterministic block order: by first supported object, then by the
+    position of the first nonzero entry there."""
+    for idx, x in enumerate(order):
+        for pos, entry in enumerate(fam[x].entries):
+            if not entry.is_zero():
+                return (idx, pos)
+    return (len(order), 0)
+
+
 @lru_cache(maxsize=None)
 def decompose(cat: ConcreteStarCategory) -> Decomposition:
-    """Exact block decomposition of a valid concrete *-category."""
+    """Exact block decomposition of a valid concrete *-category.  A block
+    sum the library built (a product probe) gets a decomposition derived
+    from its factors' and fully checked, with no elimination."""
+    if cat in BLOCK_SUM_FACTORS:
+        a, b, pairs = BLOCK_SUM_FACTORS[cat]
+        return _block_sum_decomposition(cat, decompose(a), decompose(b), pairs)
     order = cat.object_names()
     end_bases = {x: cat.hom_basis(x, x) for x in order}
 
@@ -295,29 +316,19 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
             refined.extend(_split_piece(cat, order, e, h))
         pieces = refined
 
-    # Deterministic block order: by first supported object, then by the
-    # position of the first nonzero entry there.
-    def sort_key(fam):
-        for idx, x in enumerate(order):
-            m = fam[x]
-            for pos, entry in enumerate(m.entries):
-                if not entry.is_zero():
-                    return (idx, pos)
-        return (len(order), 0)
-
     pieces = [p for p in pieces if not _fam_is_zero(p)]
-    pieces.sort(key=sort_key)
+    pieces.sort(key=lambda p: _sort_key(order, p))
+    return _checked_decomposition(cat, pieces, NotSemisimple)
 
-    for p in pieces:
-        for x in order:
-            if p[x] != p[x].adjoint():
-                raise NotSemisimple(
-                    "a central idempotent failed self-adjointness; input "
-                    "was not adjoint-closed"
-                )
 
-    blocks = tuple(f"b{i + 1}" for i in range(len(pieces)))
-
+def _checked_decomposition(cat, pieces, error):
+    """The decomposition with central projections pieces, checked: each is
+    self-adjoint, multiplicities are exact square roots of dim z End(x) z,
+    unit ranks are consistent, and the block data predicts every hom
+    dimension.  A failed check raises error."""
+    order = cat.object_names()
+    if any(p[x] != p[x].adjoint() for p in pieces for x in order):
+        raise error("a central idempotent failed self-adjointness; input was not adjoint-closed")
     object_mult = {}
     for x in order:
         mults = []
@@ -327,11 +338,11 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
                 mults.append(0)
                 continue
             compressed = MatrixSpan(
-                cat.dim(x), cat.dim(x), [z @ b @ z for b in end_bases[x]]
+                cat.dim(x), cat.dim(x), [z @ b @ z for b in cat.hom_basis(x, x)]
             )
             m = math.isqrt(compressed.dim)
             if m * m != compressed.dim:
-                raise NotSemisimple(
+                raise error(
                     f"dim z End({x}) z = {compressed.dim} is not a perfect "
                     "square; the block structure is inconsistent"
                 )
@@ -347,7 +358,7 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
                 continue
             r = p[x].rank()
             if r % m != 0 or (k_i is not None and r // m != k_i):
-                raise NotSemisimple(
+                raise error(
                     f"ambient rank of the block-{i + 1} unit on {x} is not "
                     "a consistent multiple of the multiplicity"
                 )
@@ -356,19 +367,58 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
             raise CertificateError("block with no supporting object")
         unit_ranks.append(k_i)
 
-    # Reconstruction check: hom dimensions must match the block data.
     for x in order:
         for y in order:
             expected = sum(
                 object_mult[x][i] * object_mult[y][i] for i in range(len(pieces))
             )
             if cat.hom_dim(x, y) != expected:
-                raise NotSemisimple(
+                raise error(
                     f"dim hom({x}, {y}) = {cat.hom_dim(x, y)} but the block "
                     f"data predicts {expected}"
                 )
-
+    blocks = tuple(f"b{i + 1}" for i in range(len(pieces)))
     return Decomposition(cat, blocks, tuple(pieces), object_mult, tuple(unit_ranks))
+
+
+def _block_sum_decomposition(cat, da, db, pairs):
+    """The decomposition of a block sum (see BLOCK_SUM_FACTORS): blocks
+    z + 0 and 0 + z for the blocks z of da and db, in decompose's order.
+    Blocks that are not orthogonal central idempotents summing to each
+    unit, or block data that differs from the factors', raise
+    CertificateError."""
+    order, factors = cat.object_names(), (da, db)
+    blocks = []  # (family, multiplicity on each object, unit rank)
+    for side, part in enumerate(factors):
+        for i, z in enumerate(part.centrals):
+            fam = {
+                name: block_diag(
+                    z[o] if s == side else ExactMatrix.zeros(f.category.dim(o), f.category.dim(o))
+                    for s, (o, f) in enumerate(zip(objs, factors))
+                    if o is not None
+                )
+                for name, objs in zip(order, pairs)
+            }
+            mult = tuple(0 if o[side] is None else part.object_mult[o[side]][i] for o in pairs)
+            blocks.append((fam, mult, part.unit_ranks[i]))
+    blocks.sort(key=lambda block: _sort_key(order, block[0]))
+    pieces = [fam for fam, _, _ in blocks]
+
+    for x in order:
+        zs, zero = [p[x] for p in pieces], ExactMatrix.zeros(cat.dim(x), cat.dim(x))
+        if sum(zs, zero) != cat.unit(x) or any(
+            z @ w != (z if i == j else zero) for i, z in enumerate(zs) for j, w in enumerate(zs)
+        ):
+            raise CertificateError(f"the blocks are not orthogonal idempotents summing to the unit of {x}")
+    for (x, y), arrows in cat.homs:
+        if any(p[y] @ f != f @ p[x] for f in arrows for p in pieces):
+            raise CertificateError(f"a block family is not central on hom({x}, {y})")
+
+    d = _checked_decomposition(cat, pieces, CertificateError)
+    got = [tuple(d.object_mult[x][j] for x in order) for j in range(len(pieces))]
+    if list(zip(got, d.unit_ranks)) != [(m, r) for _, m, r in blocks]:
+        raise CertificateError("the factors' block data does not match the block sum")
+    return d
 
 
 _ZERO = GaussianRational(Fraction(0), Fraction(0))

@@ -32,6 +32,7 @@ from .scalar import (
     ShapeError,
     combine,
     span_membership,
+    vector_in_span,
 )
 
 
@@ -334,7 +335,11 @@ class StarFunctor:
     def apply(self, src: str, tgt: str, m: ExactMatrix) -> ExactMatrix:
         """Image of an arbitrary element of Hom(src, tgt)."""
         basis = self.source.hom_basis(src, tgt)
-        coeffs = span_membership(m, list(basis))
+        if basis and (m.rows, m.cols) != (basis[0].rows, basis[0].cols):
+            raise ShapeError(f"a {m.rows}x{m.cols} matrix is not in hom({src}, {tgt})")
+        # Read at the pivots (exact by the residual test), else solve.
+        coeffs = vector_in_span(m.flatten(), [b.flatten() for b in basis])
+        coeffs = coeffs or span_membership(m, basis)
         if coeffs is None:
             raise ValueError("matrix is not in the source hom span")
         fs, ft = self.apply_object(src), self.apply_object(tgt)

@@ -1,16 +1,21 @@
 """The block-data fast paths against the slow paths they replace.
 
 ``is_morita_equivalence`` reads target hom dimensions from the block
-classes of the image objects, and ``LazySaturation.block_generators``
-compresses block by block.  The oracles here are the earlier forms: the
-certificate built from ``len(sat.hom_basis(fx, fy))`` and the hom basis
-spanned by ``tgt.proj @ g @ src.proj`` over dense word-sized generators.
+classes of the image objects, ``LazySaturation.block_generators``
+compresses block by block, and ``decompose`` derives the blocks of a
+product probe from those of its two factors.  The oracles here are the
+earlier forms: the certificate built from ``len(sat.hom_basis(fx, fy))``,
+the hom basis spanned by ``tgt.proj @ g @ src.proj`` over dense
+word-sized generators, and the centrality nullspace of a freshly built
+probe that is not registered as a block sum.
 """
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from random import Random
 
@@ -27,10 +32,13 @@ from moritacat.completion import (
     word_unit,
     zero_proj_object,
 )
+from moritacat import semisimple
 from moritacat.generate import (
     GeneratedCategory,
     conjugate_category,
     graded_realization,
+    one_object_forms,
+    random_category,
     random_saturation_object,
     random_unitary,
 )
@@ -39,15 +47,24 @@ from moritacat.homotopy import (
     compose_into_saturation,
     ho_morphism,
     pointwise_sum,
+    product_probe_category,
     representative_functor,
+    semiadditivity_check,
 )
 from moritacat.scalar import ExactMatrix, MatrixSpan, from_blocks, matrix
-from moritacat.semisimple import SemisimpleForm, decompose, object_class
+from moritacat.semisimple import (
+    SemisimpleForm,
+    decompose,
+    object_class,
+    standard_realization,
+)
 from moritacat.starcat import (
     StarFunctor,
     coproduct_of_grounds,
     ground_category,
     matrix_category,
+    star_category,
+    zero_category,
 )
 
 E12 = matrix([[0, 1], [0, 0]])
@@ -311,17 +328,145 @@ def test_unvalidated_image_object_is_refused():
         is_morita_equivalence(non_idempotent_image_functor())
 
 
+def child_env():
+    return {
+        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+        "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+
+
 def test_refusal_survives_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", GUARD_SCRIPT],
         capture_output=True,
         text=True,
-        env={
-            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-            "PYTHONPATH": str(Path(moritacat.__file__).resolve().parents[1]),
-            "PYTHONDONTWRITEBYTECODE": "1",
-        },
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "image of x: " in proc.stdout
     assert "projection is not idempotent" in proc.stdout
+
+
+# --- the product probe's blocks, derived from its factors ----------------
+
+CENSUS = [standard_realization(f) for f in one_object_forms(3, 2)]
+CENSUS_PAIRS = list(itertools.combinations_with_replacement(CENSUS, 2))
+
+
+def disguised_pairs():
+    """Ten disguised draws, each beside the ground category, on
+    alternate sides."""
+    rng = Random(5)
+    draws = [
+        random_category(rng, max_blocks=3, max_mult=2, max_objects=2).category
+        for _ in range(10)
+    ]
+    return [(d, ground_category()) if i % 2 else (ground_category(), d) for i, d in enumerate(draws)]
+
+
+EDGE_PAIRS = [
+    (ground_category(), ground_category()),
+    (ground_category(), zero_category()),
+    (zero_category(), ground_category()),
+    (zero_category(), zero_category()),
+]
+PROBE_PAIRS = CENSUS_PAIRS + disguised_pairs() + EDGE_PAIRS
+
+
+def canonicalized(cat):
+    """The same declarations, built with re-eliminated hom bases."""
+    return star_category([(o.name, o.dim, o.unit) for o in cat.objects], dict(cat.homs))
+
+
+def block_fields(d):
+    return d.blocks, d.object_mult, d.unit_ranks, d.centrals
+
+
+def test_placed_bases_are_already_canonical():
+    assert len(CENSUS_PAIRS) == 105
+    for a, b in CENSUS_PAIRS + EDGE_PAIRS:
+        coproduct, probe, _ = comparison_functor(a, b)
+        assert probe == canonicalized(probe)
+        assert coproduct == canonicalized(coproduct)
+
+
+@pytest.mark.parametrize("index", range(len(PROBE_PAIRS)))
+def test_derived_probe_blocks_match_elimination(index):
+    a, b = PROBE_PAIRS[index]
+    probe = product_probe_category(a, b)
+    assert probe in semisimple.BLOCK_SUM_FACTORS
+    derived = decompose.__wrapped__(probe)
+    fresh = canonicalized(probe)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semisimple, "BLOCK_SUM_FACTORS", weakref.WeakKeyDictionary())
+        eliminated = decompose.__wrapped__(fresh)
+    assert block_fields(derived) == block_fields(eliminated)
+
+
+MUTATION_SCRIPT = """
+from moritacat import semisimple
+from moritacat.homotopy import product_probe_category
+from moritacat.scalar import CertificateError
+from moritacat.semisimple import Decomposition, SemisimpleForm, decompose, standard_realization
+from moritacat.starcat import ground_category
+
+a = standard_realization(SemisimpleForm(("b1", "b2"), (("x", (1, 2)),)))
+d = decompose(a)
+z1, z2 = d.centrals
+swapped = Decomposition(a, d.blocks, (z2, z1), d.object_mult, d.unit_ranks)
+dropped = Decomposition(a, d.blocks[:1], (z1,), {"x": d.object_mult["x"][:1]}, d.unit_ranks[:1])
+g = decompose(ground_category())
+for bad in (swapped, dropped):
+    for first, second in ((bad, g), (g, bad)):
+        probe = product_probe_category(first.category, second.category)
+        pairs = semisimple.BLOCK_SUM_FACTORS[probe][2]
+        try:
+            semisimple._block_sum_decomposition(probe, first, second, pairs)
+        except CertificateError as exc:
+            print(exc)
+        else:
+            raise SystemExit("no refusal")
+"""
+
+
+def assert_four_refusals(out):
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert sum("block data does not match" in line for line in lines) == 2
+    assert sum("summing to the unit" in line for line in lines) == 2
+
+
+def test_derivation_refuses_a_swapped_or_dropped_factor_block(capsys):
+    exec(compile(MUTATION_SCRIPT, "<mutation>", "exec"), {})
+    assert_four_refusals(capsys.readouterr().out)
+
+
+def test_derivation_refusal_survives_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MUTATION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_four_refusals(proc.stdout)
+
+
+def test_probe_registry_keeps_no_dropped_probe():
+    # The benchmark's tracer reads decompose.cache_info.
+    assert callable(decompose.cache_info)
+    a, b = TWO_POINTS, matrix_category(2)
+    decompose(product_probe_category(a, b))
+    gc.collect()
+    registered = len(semisimple.BLOCK_SUM_FACTORS)
+    hits = decompose.cache_info().hits
+    assert semiadditivity_check(a, b).ok
+    assert decompose.cache_info().hits > hits
+    gc.collect()
+    assert len(semisimple.BLOCK_SUM_FACTORS) == registered
+    probe = product_probe_category(matrix_category(3), coproduct_of_grounds(3))
+    assert len(semisimple.BLOCK_SUM_FACTORS) == registered + 1
+    del probe
+    gc.collect()
+    assert len(semisimple.BLOCK_SUM_FACTORS) == registered

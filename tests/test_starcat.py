@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from moritacat.scalar import ExactMatrix, matrix
+from moritacat.scalar import ExactMatrix, ShapeError, matrix
 from moritacat.starcat import (
     Violation,
     compose_functors,
@@ -241,6 +241,34 @@ class TestFunctors:
         assert is_valid_functor(collapse)
         assert is_trivial_fibration(collapse)
         assert not is_cofibration(collapse)
+
+    def test_apply_reads_coordinates_off_the_canonical_basis(self):
+        from moritacat.scalar import block_diag
+
+        m2 = matrix_category(2)
+        double = star_functor(
+            m2,
+            matrix_category(4, name="y"),
+            {"x": "y"},
+            {("x", "x"): [block_diag([b, b]) for b in m2.hom_basis("x", "x")]},
+        )
+        rng = random.Random(3)
+        for _ in range(5):
+            m = matrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+            assert double.apply("x", "x", m) == block_diag([m, m])
+        with pytest.raises(ShapeError):
+            double.apply("x", "x", matrix([[1]]))
+
+    def test_apply_falls_back_to_a_solve_off_echelon_form(self):
+        # [[2]] has pivot 2, and a zero matrix has no pivot at all: the
+        # pivot read gives no exact answer, so apply solves instead.
+        for raw_basis in ([matrix([[2]])], [matrix([[0]]), matrix([[1]])]):
+            raw = star_category([("x", 1)], {("x", "x"): raw_basis}, canonicalize=False)
+            f = star_functor(raw, ground_category(), {"x": "x"}, {("x", "x"): raw_basis})
+            assert f.apply("x", "x", matrix([[3]])) == matrix([[3]])
+        pair = coproduct_of_grounds(2)
+        with pytest.raises(ValueError, match="not in the source hom span"):
+            identity_functor(pair).apply("x1", "x2", matrix([[1]]))
 
 
 class TestDisjointUnion:
