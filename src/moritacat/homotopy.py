@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 from .completion import (
@@ -469,7 +470,7 @@ def pointwise_sum(f: StarFunctor, g: StarFunctor) -> StarFunctor:
         vfy, vgy = isometries[y]
         arrow_map[(x, y)] = [
             vfy @ fm @ vfx.adjoint() + vgy @ gm @ vgx.adjoint()
-            for fm, gm in zip(f.images(x, y), g.images(x, y))
+            for fm, gm in zip(f.images(x, y), g.images(x, y), strict=True)
         ]
     return saturation_functor(a, b, object_map, arrow_map)
 
@@ -607,7 +608,8 @@ def product_probe_category(
             if basis:
                 homs[(_pair_name(x1, y1), _pair_name(x2, y2))] = basis
     probe = star_category(decls, homs, canonicalize=False)
-    BLOCK_SUM_FACTORS[probe] = (a, b, tuple(pairs))
+    BLOCK_SUM_FACTORS[id(probe)] = (a, b, tuple(pairs))
+    weakref.finalize(probe, BLOCK_SUM_FACTORS.pop, id(probe), None)
     return probe
 
 

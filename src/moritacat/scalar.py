@@ -474,9 +474,7 @@ def vector_in_span(vector, echelon_rows):
     vec = list(vector)
     coeffs = []
     for row in echelon_rows:
-        pivot_col = next((i for i, x in enumerate(row) if not x.is_zero()), None)
-        if pivot_col is None:  # a zero row: not an echelon basis
-            return None
+        pivot_col = next(i for i, x in enumerate(row) if not x.is_zero())
         c = vec[pivot_col]
         coeffs.append(c)
         if not c.is_zero():

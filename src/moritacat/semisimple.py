@@ -21,7 +21,6 @@ happens to be realized.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,9 +229,11 @@ class Decomposition:
         return block_diag([z[x] for x in word])
 
 
-# Probes of homotopy.product_probe_category, weakly keyed, -> (a, b, pairs):
-# object n is pairs[n] = (x of a or None, y of b or None), block-diagonal.
-BLOCK_SUM_FACTORS = weakref.WeakKeyDictionary()
+# id(probe) -> (a, b, pairs) for each live homotopy.product_probe_category
+# probe, dropped when the probe is collected: object n is pairs[n] = (x of a
+# or None, y of b or None), block-diagonal.  Keyed by identity, so an equal
+# category built any other way is decomposed by elimination.
+BLOCK_SUM_FACTORS = {}
 
 
 def _sort_key(order, fam):
@@ -249,9 +250,9 @@ def _sort_key(order, fam):
 def decompose(cat: ConcreteStarCategory) -> Decomposition:
     """Exact block decomposition of a valid concrete *-category.  A block
     sum the library built (a product probe) gets a decomposition derived
-    from its factors' and fully checked, with no elimination."""
-    if cat in BLOCK_SUM_FACTORS:
-        a, b, pairs = BLOCK_SUM_FACTORS[cat]
+    from its factors' and fully checked, without the centrality nullspace."""
+    if id(cat) in BLOCK_SUM_FACTORS:
+        a, b, pairs = BLOCK_SUM_FACTORS[id(cat)]
         return _block_sum_decomposition(cat, decompose(a), decompose(b), pairs)
     order = cat.object_names()
     end_bases = {x: cat.hom_basis(x, x) for x in order}

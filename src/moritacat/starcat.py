@@ -31,7 +31,6 @@ from .scalar import (
     MatrixSpan,
     ShapeError,
     combine,
-    span_membership,
     vector_in_span,
 )
 
@@ -337,9 +336,8 @@ class StarFunctor:
         basis = self.source.hom_basis(src, tgt)
         if basis and (m.rows, m.cols) != (basis[0].rows, basis[0].cols):
             raise ShapeError(f"a {m.rows}x{m.cols} matrix is not in hom({src}, {tgt})")
-        # Read at the pivots (exact by the residual test), else solve.
+        # Hom bases are canonical: read the coordinates at their pivots.
         coeffs = vector_in_span(m.flatten(), [b.flatten() for b in basis])
-        coeffs = coeffs or span_membership(m, basis)
         if coeffs is None:
             raise ValueError("matrix is not in the source hom span")
         fs, ft = self.apply_object(src), self.apply_object(tgt)

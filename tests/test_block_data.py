@@ -15,7 +15,6 @@ import itertools
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 from random import Random
 
@@ -395,12 +394,11 @@ def test_placed_bases_are_already_canonical():
 def test_derived_probe_blocks_match_elimination(index):
     a, b = PROBE_PAIRS[index]
     probe = product_probe_category(a, b)
-    assert probe in semisimple.BLOCK_SUM_FACTORS
+    assert id(probe) in semisimple.BLOCK_SUM_FACTORS
     derived = decompose.__wrapped__(probe)
     fresh = canonicalized(probe)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semisimple, "BLOCK_SUM_FACTORS", weakref.WeakKeyDictionary())
-        eliminated = decompose.__wrapped__(fresh)
+    assert id(fresh) not in semisimple.BLOCK_SUM_FACTORS
+    eliminated = decompose.__wrapped__(fresh)
     assert block_fields(derived) == block_fields(eliminated)
 
 
@@ -420,7 +418,7 @@ g = decompose(ground_category())
 for bad in (swapped, dropped):
     for first, second in ((bad, g), (g, bad)):
         probe = product_probe_category(first.category, second.category)
-        pairs = semisimple.BLOCK_SUM_FACTORS[probe][2]
+        pairs = semisimple.BLOCK_SUM_FACTORS[id(probe)][2]
         try:
             semisimple._block_sum_decomposition(probe, first, second, pairs)
         except CertificateError as exc:
@@ -470,3 +468,13 @@ def test_probe_registry_keeps_no_dropped_probe():
     del probe
     gc.collect()
     assert len(semisimple.BLOCK_SUM_FACTORS) == registered
+
+
+def test_registration_is_by_identity_and_outlives_an_equal_probe():
+    a, b = TWO_POINTS, matrix_category(2)
+    first, second = product_probe_category(a, b), product_probe_category(a, b)
+    assert first == second and first is not second
+    assert id(canonicalized(second)) not in semisimple.BLOCK_SUM_FACTORS
+    del first
+    gc.collect()
+    assert semisimple.BLOCK_SUM_FACTORS[id(second)][:2] == (a, b)

@@ -259,16 +259,17 @@ class TestFunctors:
         with pytest.raises(ShapeError):
             double.apply("x", "x", matrix([[1]]))
 
-    def test_apply_falls_back_to_a_solve_off_echelon_form(self):
-        # [[2]] has pivot 2, and a zero matrix has no pivot at all: the
-        # pivot read gives no exact answer, so apply solves instead.
-        for raw_basis in ([matrix([[2]])], [matrix([[0]]), matrix([[1]])]):
-            raw = star_category([("x", 1)], {("x", "x"): raw_basis}, canonicalize=False)
-            f = star_functor(raw, ground_category(), {"x": "x"}, {("x", "x"): raw_basis})
-            assert f.apply("x", "x", matrix([[3]])) == matrix([[3]])
+    def test_apply_refuses_a_non_member(self):
         pair = coproduct_of_grounds(2)
         with pytest.raises(ValueError, match="not in the source hom span"):
             identity_functor(pair).apply("x1", "x2", matrix([[1]]))
+        diagonal = star_category(
+            [("x", 2)], {("x", "x"): [matrix([[1, 0], [0, 0]]), matrix([[0, 0], [0, 1]])]}
+        )
+        identity = identity_functor(diagonal)
+        assert identity.apply("x", "x", matrix([[5, 0], [0, 7]])) == matrix([[5, 0], [0, 7]])
+        with pytest.raises(ValueError, match="not in the source hom span"):
+            identity.apply("x", "x", matrix([[0, 1], [0, 0]]))
 
 
 class TestDisjointUnion:
