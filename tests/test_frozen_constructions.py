@@ -3,8 +3,13 @@
 ``tests/golden/constructions.json`` records, for each case below, the
 JSON text (``jsonio.dumps``) of a construction's result: the interval and
 range-object pushouts with their mediating functors, truncated additive
-hulls, the coproduct-versus-product comparison functor and the standard
-realizations of the one-object census forms.  Each case must reproduce
+hulls, the coproduct-versus-product comparison functor, the standard
+realizations of the one-object census forms, and representative functors
+of class matrices: between the standard realizations of the
+``ho-calculus`` benchmark forms (one class with a zero column, so an
+empty image summand), between disguised random draws (one of them the
+identity class, i.e. the Morita witness), between the ground category
+and M_2 both ways, and into and out of the zero category.  Each case must reproduce
 byte for byte, so a rewrite of one of these constructions in terms of
 another shows up as a diff.
 
@@ -29,7 +34,7 @@ from moritacat.generate import (
     random_projection_assignment,
     random_range_cocone,
 )
-from moritacat.homotopy import comparison_functor
+from moritacat.homotopy import comparison_functor, ho_morphism, representative_functor
 from moritacat.presentations import (
     interval_mediator,
     pushout_interval,
@@ -37,12 +42,13 @@ from moritacat.presentations import (
     rn_pushout_mediator,
 )
 from moritacat.scalar import ExactMatrix
-from moritacat.semisimple import SemisimpleForm, standard_realization
+from moritacat.semisimple import SemisimpleForm, decompose, standard_realization
 from moritacat.starcat import (
     coproduct_of_grounds,
     ground_category,
     identity_functor,
     matrix_category,
+    zero_category,
 )
 
 FROZEN = Path(__file__).resolve().parent / "golden" / "constructions.json"
@@ -99,6 +105,73 @@ def comparison_case(a, b):
         "coproduct": jsonio.category_to_json(coproduct),
         "product": jsonio.category_to_json(product),
         "functor": jsonio.functor_to_json(functor),
+    }
+
+
+def representative_case(a, b, rows):
+    """The representative functor A -> Sat(B) of the class matrix
+    ``rows`` (rows indexed by the blocks of B, in decompose's order)."""
+    h = ho_morphism(decompose(a).form, decompose(b).form, rows)
+    return jsonio.functor_to_json(representative_functor(h, a, b))
+
+
+def ho_realization(*classes, prefix):
+    """The standard realization of a form given by per-object class
+    vectors, as the ``ho-calculus`` benchmark builds it."""
+    return standard_realization(
+        SemisimpleForm(
+            tuple(f"b{j + 1}" for j in range(len(classes[0]))),
+            tuple((f"{prefix}{i + 1}", c) for i, c in enumerate(classes)),
+        )
+    )
+
+
+def ho_forms():
+    return {
+        "A": ho_realization((1, 1), (0, 2), prefix="a"),
+        "A2": ho_realization((2, 0), (1, 1), prefix="p"),
+        "B": ho_realization((1, 1), (1, 0), (0, 2), prefix="b"),
+        "C": ho_realization((1, 0, 1), (0, 1, 1), (1, 1, 0), prefix="c"),
+    }
+
+
+def representative_cases():
+    ho = [
+        ("A", "B", ((2, 0), (1, 0))),
+        ("A", "A2", ((0, 1), (1, 0))),
+        ("A", "A2", ((2, 1), (1, 1))),
+        ("B", "C", ((1, 0), (0, 1), (1, 2))),
+        ("C", "A", ((1, 0, 2), (0, 1, 1))),
+    ]
+    cases = {
+        f"representative-ho-{src}-{tgt}-{i}": lambda src=src, tgt=tgt, rows=rows: (
+            representative_case(ho_forms()[src], ho_forms()[tgt], rows)
+        )
+        for i, (src, tgt, rows) in enumerate(ho)
+    }
+    return {
+        **cases,
+        "representative-random-witness": lambda: representative_case(
+            random_draws()[3], random_draws()[5], ((1, 0), (0, 1))
+        ),
+        "representative-random-2-4": lambda: representative_case(
+            random_draws()[2], random_draws()[4], ((1, 0, 2), (0, 1, 0), (1, 0, 0))
+        ),
+        "representative-ground-m2": lambda: representative_case(
+            ground_category(), matrix_category(2), ((2,),)
+        ),
+        "representative-m2-ground": lambda: representative_case(
+            matrix_category(2), ground_category(), ((3,),)
+        ),
+        "representative-zero-m2": lambda: representative_case(
+            zero_category(), matrix_category(2), ((),)
+        ),
+        "representative-m2-zero": lambda: representative_case(
+            matrix_category(2), zero_category(), ()
+        ),
+        "representative-zero-zero": lambda: representative_case(
+            zero_category(), zero_category(), ()
+        ),
     }
 
 
@@ -169,6 +242,7 @@ CASES = {
     ),
     "comparison-disguised": lambda: comparison_case(disguised(3), disguised(4)),
     **realization_cases(),
+    **representative_cases(),
 }
 
 
