@@ -334,7 +334,10 @@ def cmd_compose(args):
 
 def cmd_picard(args):
     form = _load_form(args.file)
-    group = aut_group(form, verify=args.verify, verify_entry_bound=args.bound)
+    try:
+        group = aut_group(form, verify=args.verify, verify_entry_bound=args.bound)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     summary = f"{group.label} (order {group.order})"
     if group.verified:
         summary += ", verified by enumeration"

@@ -33,6 +33,7 @@ from .presentations import (
     LiftSquare,
     RnPushout,
     SumSquare,
+    _fresh_name,
     assignment,
     interval_mediator,
     pushout_interval,
@@ -475,9 +476,7 @@ def planted_sum_square(
     chosen = [names[rng.randrange(len(names))] for _ in range(n)]
     parts = [identity_proj_object(base, x) for x in chosen]
     total, isometries = canonical_sum(base, parts)
-    sum_name = "sum"
-    while sum_name in names:
-        sum_name += "'"
+    sum_name = _fresh_name(names, "sum")
     named = {x: identity_proj_object(base, x) for x in names}
     named[sum_name] = total
     cat = materialize_full_subcategory(LazySaturation(base), named)
@@ -518,23 +517,18 @@ def random_range_cocone(rng, gen: GeneratedCategory, po: RnPushout) -> RangeCoco
     order = list(range(len(word)))
     rng.shuffle(order)
     new_word = tuple(word[p] for p in order)
-    dims = [base.dim(x) for x in word]
-    total = sum(dims)
     old_offsets = word_offsets(base, word)
-    new_offsets = [0]
-    for p in order:
-        new_offsets.append(new_offsets[-1] + dims[p])
+    new_offsets = word_offsets(base, new_word)
+    total = old_offsets[-1]
     rows = [[0] * total for _ in range(total)]
     for j, p in enumerate(order):
-        for t in range(dims[p]):
+        for t in range(base.dim(word[p])):
             rows[new_offsets[j] + t][old_offsets[p] + t] = 1
     perm = ExactMatrix.from_rows(rows) if total else ExactMatrix.zeros(0, 0)
     mixer = block_diag([gen.random_span_unitary(rng, x) for x in word])
     transport = perm @ mixer
     scrambled = ProjObject(new_word, transport @ po.proj @ transport.adjoint())
-    range_name = "rr"
-    while range_name in base.object_names():
-        range_name += "'"
+    range_name = _fresh_name(base.object_names(), "rr")
     named = {x: identity_proj_object(base, x) for x in base.object_names()}
     named[range_name] = scrambled
     cat = materialize_full_subcategory(LazySaturation(base), named)

@@ -36,11 +36,10 @@ from .completion import (
     word_dim,
 )
 from .scalar import (
-    ZERO,
     CertificateError,
     ExactMatrix,
     block_diag,
-    combine,
+    kron,
     span_membership,
 )
 from .semisimple import (
@@ -340,10 +339,12 @@ def representative_functor(
 ) -> StarFunctor:
     """The canonical functor A -> Sat(B) in the class of h.
 
-    Each copy of source block i inside an object is sent to the
-    canonical sum of h.mult[j][i] copies of the block-j minimal
-    projection of B, for every j in block order; matrix units of A go
-    to the matching bridges between those summands.
+    Qᵢ is the canonical sum of h.mult[j][i] copies of the block-j
+    minimal projection of B, for every j in block order.  Objects go to
+    sums of Qᵢ: x to the canonical sum of object_mult[x][i] copies of Qᵢ,
+    block by block.  Arrows go to Λᵢ(m) ⊗ Qᵢ: m: x -> y to the block
+    diagonal of kron(Λᵢ(m), Qᵢ), where Λᵢ(m) holds m's coordinates over
+    the block-i matrix units from the copies of x to the copies of y.
     """
     da, db = decompose(a), decompose(b)
     if da.form != h.source_form or db.form != h.target_form:
@@ -351,83 +352,36 @@ def representative_functor(
     ka, kb = len(da.blocks), len(db.blocks)
     units = [matrix_units(da, i) for i in range(ka)]
     min_projs = [minimal_projection(db, j) for j in range(kb)]
-
-    def layout(x):
-        out = []
-        for i in range(ka):
-            for copy in range(da.object_mult[x][i]):
-                out.append((i, copy))
-        return out
-
-    # Each layout slot (i, copy) expands to sub-summands (j, m) for
-    # every target block j and m < h.mult[j][i].
-    def sub_slots(i):
-        return [(j, m) for j in range(kb) for m in range(h.mult[j][i])]
-
-    object_map = {}
-    summand_lists = {}
-    for x in a.object_names():
-        summands = []
-        for i, _ in layout(x):
-            summands.extend(min_projs[j] for j, _ in sub_slots(i))
-        obj, _ = canonical_sum(b, summands)
-        object_map[x] = obj
-        summand_lists[x] = summands
-
-    def summand_offsets(x):
-        offs = [0]
-        for po in summand_lists[x]:
-            offs.append(offs[-1] + word_dim(b, po.word))
-        return offs
-
-    def flat_index(x, slot, sub):
-        lay = layout(x)
-        s = lay.index(slot)
-        i = slot[0]
-        before = sum(len(sub_slots(ii)) for ii, _ in lay[:s])
-        return before + sub_slots(i).index(sub)
-
-    def unit_image(x, y, i, c_src, c_tgt):
-        rows = word_dim(b, object_map[y].word)
-        cols = word_dim(b, object_map[x].word)
-        offx, offy = summand_offsets(x), summand_offsets(y)
-        ents = [[ZERO] * cols for _ in range(rows)]
-        for j, m in sub_slots(i):
-            p = min_projs[j].proj
-            fx = flat_index(x, (i, c_src), (j, m))
-            fy = flat_index(y, (i, c_tgt), (j, m))
-            for r in range(p.rows):
-                for c in range(p.cols):
-                    ents[offy[fy] + r][offx[fx] + c] = p.entry(r, c)
-        if rows and cols:
-            return ExactMatrix.from_rows(ents)
-        return ExactMatrix.zeros(rows, cols)
-
+    qs = [
+        canonical_sum(b, [min_projs[j] for j in range(kb) for _ in range(h.mult[j][i])])[0]
+        for i in range(ka)
+    ]
+    object_map = {
+        x: canonical_sum(b, [q for q, n in zip(qs, da.object_mult[x]) for _ in range(n)])[0]
+        for x in a.object_names()
+    }
     arrow_map = {}
     for x, y in a.pairs():
         basis = a.hom_basis(x, y)
         if not basis:
             continue
-        unit_elements = []
-        unit_images = []
-        for i in range(ka):
-            mu = units[i]
-            for sa, (ya, ca) in enumerate(mu.slots):
-                if ya != y:
-                    continue
-                for sb, (xb, cb) in enumerate(mu.slots):
-                    if xb != x:
-                        continue
-                    unit_elements.append(mu.unit(sa, sb))
-                    unit_images.append(unit_image(x, y, i, cb, ca))
-        rows = word_dim(b, object_map[y].word)
-        cols = word_dim(b, object_map[x].word)
+        unit_elements = [
+            mu.unit(mu.slots.index((y, cy)), mu.slots.index((x, cx)))
+            for mu in units
+            for cy in range(da.object_mult[y][mu.block_index])
+            for cx in range(da.object_mult[x][mu.block_index])
+        ]
         images = []
-        for belt in basis:
-            coeffs = span_membership(belt, unit_elements)
+        for m in basis:
+            coeffs = span_membership(m, unit_elements)
             if coeffs is None:
                 raise CertificateError("hom element outside matrix-unit span")
-            images.append(combine(coeffs, unit_images, rows, cols))
+            blocks, at = [], 0
+            for q, ny, nx in zip(qs, da.object_mult[y], da.object_mult[x]):
+                lam = ExactMatrix(ny, nx, tuple(coeffs[at : at + ny * nx]))
+                blocks.append(kron(lam, q.proj))
+                at += ny * nx
+            images.append(block_diag(blocks))
         arrow_map[(x, y)] = images
     return saturation_functor(a, b, object_map, arrow_map)
 
@@ -540,7 +494,10 @@ def aut_group(a, verify: bool = False, verify_entry_bound: int = 2) -> PicardGro
     With verify=True the group is re-derived by enumerating all
     matrices with entries up to the bound and keeping those invertible
     over the natural numbers; the census must consist of exactly the
-    k! permutation matrices."""
+    k! permutation matrices; a bound below 1 cannot contain them and
+    raises ValueError."""
+    if verify and verify_entry_bound < 1:
+        raise ValueError(f"the enumeration bound must be at least 1, got {verify_entry_bound}")
     form = _as_form(a)
     k = form.k
     generators = []
@@ -554,12 +511,12 @@ def aut_group(a, verify: bool = False, verify_entry_bound: int = 2) -> PicardGro
     if verify:
         census = enumerate_natural_invertibles(k, verify_entry_bound)
         if len(census) != order:
-            raise AssertionError(
+            raise CertificateError(
                 f"enumeration found {len(census)} invertible matrices, expected {order}"
             )
         for rows in census:
             if not ho_is_iso(ho_morphism(form, form, rows)):
-                raise AssertionError("enumeration found a non-permutation invertible")
+                raise CertificateError("enumeration found a non-permutation invertible")
         verified = True
     return PicardGroup(
         form, order, tuple(generators), f"S_{k}", verified, verify_entry_bound if verify else 0

@@ -287,6 +287,13 @@ class TestKTheoryVerbs:
         assert run_cli("picard", path, "--verify") == 0
         assert "S_3 (order 6), verified by enumeration" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_picard_verify_below_bound_one_exits_2(self, bound, write, capsys):
+        path = write("f3.json", THREE_BLOCKS_DOC)
+        assert run_cli("picard", path, "--verify", "--bound", bound, "--json") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"error": f"the enumeration bound must be at least 1, got {bound}"}
+
     def test_picard_unverified_json(self, write, capsys):
         path = write("m2.json", jsonio.category_to_json(matrix_category(2)))
         assert run_cli("picard", path, "--json") == 0

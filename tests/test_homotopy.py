@@ -484,6 +484,13 @@ def test_verified_picard_by_enumeration():
     assert g.verify_entry_bound == 2
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verified_picard_refuses_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match="at least 1"):
+        aut_group(coproduct_of_grounds(3), verify=True, verify_entry_bound=bound)
+    assert aut_group(coproduct_of_grounds(3), verify_entry_bound=bound).order == 6
+
+
 def test_enumeration_finds_exactly_the_permutations():
     assert len(enumerate_natural_invertibles(1, 3)) == 1
     census = enumerate_natural_invertibles(2, 2)
@@ -746,6 +753,16 @@ def test_representative_certificate_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "hom element outside matrix-unit span" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "census, message",
+    [([], "found 0 invertible matrices"), ([((2,),)], "non-permutation invertible")],
+)
+def test_picard_census_certificate_raises(monkeypatch, census, message):
+    monkeypatch.setattr(homotopy, "enumerate_natural_invertibles", lambda k, bound: census)
+    with pytest.raises(CertificateError, match=message):
+        aut_group(M2, verify=True)
 
 
 def test_iso_witness_certificate_raises(monkeypatch):
