@@ -91,14 +91,10 @@ def validate_proj_object(base: ConcreteStarCategory, obj: ProjObject):
         problems.append("projection is not self-adjoint")
     if obj.proj @ obj.proj != obj.proj:
         problems.append("projection is not idempotent")
-    spans = {}
     for i in range(len(obj.word)):
         for j in range(len(obj.word)):
             blk = matrix_block(base, obj.word, obj.word, obj.proj, i, j)
-            pair = (obj.word[j], obj.word[i])
-            if pair not in spans:
-                spans[pair] = base.hom_span(*pair)
-            if not spans[pair].contains(blk):
+            if not base.contains_arrow(obj.word[j], obj.word[i], blk):
                 problems.append(
                     f"block ({i}, {j}) is outside hom({obj.word[j]}, {obj.word[i]})"
                 )
@@ -287,14 +283,12 @@ def materialize_full_subcategory(sat: LazySaturation, named_objects):
     decls = []
     for name, o in named_objects.items():
         decls.append((name, word_dim(sat.base, o.word), o.proj))
-    homs = {}
-    for na, oa in named_objects.items():
-        for nb, ob in named_objects.items():
-            basis = sat.hom_basis(oa, ob)
-            if basis:
-                homs[(na, nb)] = basis
-    # The saturation's bases are already canonical and nonzero.
-    return star_category(decls, homs, canonicalize=False)
+    homs = {
+        (na, nb): sat.hom_basis(oa, ob)
+        for na, oa in named_objects.items()
+        for nb, ob in named_objects.items()
+    }
+    return star_category(decls, homs)
 
 
 # --- functors into a saturation ---------------------------------------

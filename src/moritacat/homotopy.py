@@ -33,7 +33,6 @@ from .completion import (
     materialize_full_subcategory,
     saturation_functor,
     saturation_inclusion_of,
-    word_dim,
 )
 from .scalar import (
     CertificateError,
@@ -278,11 +277,27 @@ class HoHomMonoid:
     def bounded_elements(self, entry_sum_bound: int):
         """Every morphism whose entries sum to at most the bound, in
         lexicographic order of the flattened matrix."""
+        rows, cols = self.shape
         return [
-            ho_morphism(self.source_form, self.target_form, rows)
-            for rows in _bounded_matrices(*self.shape, entry_sum_bound)
-            if sum(map(sum, rows)) <= entry_sum_bound
+            ho_morphism(
+                self.source_form,
+                self.target_form,
+                [flat[r * cols : (r + 1) * cols] for r in range(rows)],
+            )
+            for flat in _sum_bounded_vectors(rows * cols, entry_sum_bound)
         ]
+
+
+def _sum_bounded_vectors(length: int, bound: int):
+    """Every vector of `length` naturals summing to at most the bound, in
+    lexicographic order."""
+    if length == 0:
+        if bound >= 0:
+            yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _sum_bounded_vectors(length - 1, bound - first):
+            yield (first, *rest)
 
 
 def _bounded_matrices(rows: int, cols: int, entry_bound: int):
@@ -447,9 +462,7 @@ def saturation_iso_witness(base: ConcreteStarCategory, o1, o2):
     k = len(d.blocks)
     units = [matrix_units(d, i) for i in range(k)]
     zero_off = tuple(0 for _ in range(k))
-    u = slot_bridge(units, "a", zero_off, "b", zero_off, c1)
-    if u is None:
-        u = ExactMatrix.zeros(word_dim(base, o2.word), word_dim(base, o1.word))
+    u = slot_bridge(sub, units, "a", zero_off, "b", zero_off, c1)
     if u.adjoint() @ u != o1.proj or u @ u.adjoint() != o2.proj:
         raise CertificateError("the assembled bridge is not a unitary between the objects")
     if not sat.contains_arrow(o1, o2, u):
@@ -562,9 +575,8 @@ def product_probe_category(
             if y1 is not None and y2 is not None:
                 zero = ExactMatrix.zeros(dx2, dx1)
                 basis.extend(block_diag([zero, g]) for g in b.hom_basis(y1, y2))
-            if basis:
-                homs[(_pair_name(x1, y1), _pair_name(x2, y2))] = basis
-    probe = star_category(decls, homs, canonicalize=False)
+            homs[(_pair_name(x1, y1), _pair_name(x2, y2))] = basis
+    probe = star_category(decls, homs)
     BLOCK_SUM_FACTORS[id(probe)] = (a, b, tuple(pairs))
     weakref.finalize(probe, BLOCK_SUM_FACTORS.pop, id(probe), None)
     return probe
@@ -581,7 +593,6 @@ def comparison_functor(a: ConcreteStarCategory, b: ConcreteStarCategory):
     coproduct = star_category(
         [(o.name, o.dim, o.unit) for o in product.objects if o.name in names],
         {(x, y): m for (x, y), m in product.homs if x in names and y in names},
-        canonicalize=False,
     )
     functor = star_functor(
         coproduct,

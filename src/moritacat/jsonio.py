@@ -94,6 +94,24 @@ def _kind_of(doc, pointer):
     return _as_str(_field(doc, "kind", pointer), f"{pointer}.kind")
 
 
+def _expect_kind(doc, pointer, kind):
+    _require(
+        _kind_of(doc, pointer) == kind, f"{pointer}.kind", f'kind "{kind}" is required'
+    )
+
+
+def _scalar(doc, pointer):
+    """Parse a scalar string; a malformed one is a schema error."""
+    try:
+        return parse_scalar(_as_str(doc, pointer))
+    except ScalarFormatError as exc:
+        raise SchemaError(
+            pointer,
+            "scalar strings must be canonical lowest-terms "
+            f'("a/b" or "a/b+c/d*i"): {exc}',
+        ) from None
+
+
 def _object_name(name, pointer):
     _as_str(name, pointer)
     _require(name != "", pointer, "object names must be nonempty")
@@ -129,16 +147,7 @@ def matrix_from_json(doc, rows: int, cols: int, pointer: str) -> ExactMatrix:
             f"a row of {cols} entries is required",
         )
         for j, cell in enumerate(row):
-            here = f"{pointer}[{i}][{j}]"
-            _as_str(cell, here)
-            try:
-                entries.append(parse_scalar(cell))
-            except ScalarFormatError as exc:
-                raise SchemaError(
-                    here,
-                    "scalar strings must be canonical lowest-terms "
-                    f'("a/b" or "a/b+c/d*i"): {exc}',
-                ) from None
+            entries.append(_scalar(cell, f"{pointer}[{i}][{j}]"))
     return ExactMatrix(rows, cols, tuple(entries))
 
 
@@ -165,11 +174,7 @@ def category_to_json(cat: ConcreteStarCategory):
 
 
 def category_from_json(doc, pointer: str = "$") -> ConcreteStarCategory:
-    _require(
-        _kind_of(doc, pointer) == "concrete",
-        f"{pointer}.kind",
-        'kind "concrete" is required',
-    )
+    _expect_kind(doc, pointer, "concrete")
     decls_doc = _as_list(_field(doc, "objects", pointer), f"{pointer}.objects")
     decls = []
     dims = {}
@@ -229,11 +234,7 @@ def semisimple_form_to_json(form: SemisimpleForm):
 
 
 def semisimple_form_from_json(doc, pointer: str = "$") -> SemisimpleForm:
-    _require(
-        _kind_of(doc, pointer) == "semisimple",
-        f"{pointer}.kind",
-        'kind "semisimple" is required',
-    )
+    _expect_kind(doc, pointer, "semisimple")
     blocks_doc = _as_list(_field(doc, "blocks", pointer), f"{pointer}.blocks")
     blocks = []
     for i, b in enumerate(blocks_doc):
@@ -361,11 +362,7 @@ def _parse_arrow_images(doc, source, pointer, target, object_map):
 
 
 def _functor_from_json(doc, pointer, kind) -> StarFunctor:
-    _require(
-        _kind_of(doc, pointer) == kind,
-        f"{pointer}.kind",
-        f'kind "{kind}" is required',
-    )
+    _expect_kind(doc, pointer, kind)
     source = category_from_json(_field(doc, "source", pointer), f"{pointer}.source")
     base = category_from_json(_field(doc, "target", pointer), f"{pointer}.target")
     target = LazySaturation(base) if kind == "saturation-functor" else base
@@ -414,11 +411,7 @@ def ho_morphism_to_json(h: ClassMatrix):
 
 
 def ho_morphism_from_json(doc, pointer: str = "$") -> ClassMatrix:
-    _require(
-        _kind_of(doc, pointer) == "ho-morphism",
-        f"{pointer}.kind",
-        'kind "ho-morphism" is required',
-    )
+    _expect_kind(doc, pointer, "ho-morphism")
     source = semisimple_form_from_json(
         _field(doc, "source", pointer), f"{pointer}.source"
     )
@@ -514,15 +507,7 @@ def term_from_json(doc, pointer: str) -> Term:
         )
         return Term("sum", terms=terms, src=src, tgt=tgt)
     if kind == "scalar":
-        coeff_doc = _as_str(_field(doc, "coeff", pointer), f"{pointer}.coeff")
-        try:
-            coeff = parse_scalar(coeff_doc)
-        except ScalarFormatError as exc:
-            raise SchemaError(
-                f"{pointer}.coeff",
-                "scalar strings must be canonical lowest-terms "
-                f'("a/b" or "a/b+c/d*i"): {exc}',
-            ) from None
+        coeff = _scalar(_field(doc, "coeff", pointer), f"{pointer}.coeff")
         return Term(
             "scalar",
             terms=(term_from_json(_field(doc, "term", pointer), f"{pointer}.term"),),
@@ -554,11 +539,7 @@ def presentation_to_json(pres: Presentation):
 
 
 def presentation_from_json(doc, pointer: str = "$") -> Presentation:
-    _require(
-        _kind_of(doc, pointer) == "presentation",
-        f"{pointer}.kind",
-        'kind "presentation" is required',
-    )
+    _expect_kind(doc, pointer, "presentation")
     name = _as_str(_field(doc, "name", pointer), f"{pointer}.name")
     vertices_doc = _as_list(_field(doc, "objects", pointer), f"{pointer}.objects")
     vertices = [
@@ -670,11 +651,7 @@ def square_to_json(square):
 def square_from_json(doc, f: StarFunctor, pointer: str = "$"):
     """Parse a lifting square against the functor it will be tested on:
     the top edge lands in f's source, the bottom in f's target."""
-    _require(
-        _kind_of(doc, pointer) == "square",
-        f"{pointer}.kind",
-        'kind "square" is required',
-    )
+    _expect_kind(doc, pointer, "square")
     family = _as_str(_field(doc, "family", pointer), f"{pointer}.family")
     _require(
         family in ("R", "S"), f"{pointer}.family", 'the family is "R" or "S"'

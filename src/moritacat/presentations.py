@@ -770,19 +770,7 @@ def rn_pushout_mediator(
     rep = check_representation(r_pres, t1)
     if not rep.ok:
         raise ValueError(f"range leg is not a representation: {rep.failure}")
-    # Commutation over the projection-matrix presentation.
-    for i in range(1, n + 1):
-        if t1.object_of(f"o{i}") != t0.apply_object(po.g.object_of(f"o{i}")):
-            raise ValueError("cocone legs disagree on an object")
-        for j in range(1, n + 1):
-            lhs = t1.matrix_of(f"s{i}").adjoint() @ t1.matrix_of(f"s{j}")
-            rhs = t0.apply(
-                po.g.object_of(f"o{j}"),
-                po.g.object_of(f"o{i}"),
-                po.g.matrix_of(f"p{i}_{j}"),
-            )
-            if lhs != rhs:
-                raise ValueError("cocone does not commute over the projection matrix")
+    _check_commutes(t0, po.g, t1, n, True, "cocone")
 
     r_image = t1.object_of(f"r({n})")
     object_map = {x: t0.apply_object(x) for x in a.object_names()}
@@ -867,22 +855,27 @@ def _check_square_commutes(f: StarFunctor, square, vertex, prefix, entries: bool
                 f"bottom edge arrow {prefix}{i} is {arrow.rows}x{arrow.cols}, "
                 f"not {rows}x{cols}"
             )
+    _check_commutes(f, g, h, n, entries, "square")
+
+
+def _check_commutes(f: StarFunctor, top, bottom, n, entries: bool, what):
+    """Raise ValueError unless F(top o_i) = bottom o_i for i = 1..n and,
+    with ``entries``, bottom s_i* s_j = F(top p_{i,j}) for every (i, j);
+    ``what`` names the diagram in the message."""
     for i in range(1, n + 1):
-        if f.apply_object(g.object_of(f"o{i}")) != h.object_of(f"o{i}"):
-            raise ValueError(f"square does not commute on object o{i}")
+        if f.apply_object(top.object_of(f"o{i}")) != bottom.object_of(f"o{i}"):
+            raise ValueError(f"{what} does not commute on object o{i}")
         if not entries:
             continue
         for j in range(1, n + 1):
-            lhs = h.matrix_of(f"s{i}").adjoint() @ h.matrix_of(f"s{j}")
+            lhs = bottom.matrix_of(f"s{i}").adjoint() @ bottom.matrix_of(f"s{j}")
             rhs = f.apply(
-                g.object_of(f"o{j}"),
-                g.object_of(f"o{i}"),
-                g.matrix_of(f"p{i}_{j}"),
+                top.object_of(f"o{j}"),
+                top.object_of(f"o{i}"),
+                top.matrix_of(f"p{i}_{j}"),
             )
             if lhs != rhs:
-                raise ValueError(
-                    f"square does not commute on the matrix entry ({i},{j})"
-                )
+                raise ValueError(f"{what} does not commute on the matrix entry ({i},{j})")
 
 
 def _lift_search(f: StarFunctor, square, kind, vertex, prefix, entries):
@@ -1056,6 +1049,7 @@ def _probe_concrete(cat):
 
     d = decompose(cat)
     k = len(d.blocks)
+    zero_off = tuple(0 for _ in range(k))
     names = cat.object_names()
 
     zero_witness = None
@@ -1088,13 +1082,8 @@ def _probe_concrete(cat):
             isos = None
             note = None
             if ok and units is not None:
-                zero_off = tuple(0 for _ in range(k))
-                v1 = slot_bridge(units, x, zero_off, z, zero_off, cx)
-                v2 = slot_bridge(units, y, zero_off, z, cx, cy)
-                if v1 is None:
-                    v1 = ExactMatrix.zeros(cat.dim(z), cat.dim(x))
-                if v2 is None:
-                    v2 = ExactMatrix.zeros(cat.dim(z), cat.dim(y))
+                v1 = slot_bridge(cat, units, x, zero_off, z, zero_off, cx)
+                v2 = slot_bridge(cat, units, y, zero_off, z, cx, cy)
                 if not (v1.adjoint() @ v1 == cat.unit(x) and v2.adjoint() @ v2 == cat.unit(y)):
                     raise CertificateError("a sum injection is not an isometry")
                 if not (v1.adjoint() @ v2).is_zero():
@@ -1116,10 +1105,7 @@ def _probe_concrete(cat):
             iso = None
             note = None
             if ok and units is not None:
-                zero_off = tuple(0 for _ in range(k))
-                v = slot_bridge(units, r, zero_off, x, zero_off, cls)
-                if v is None:
-                    v = ExactMatrix.zeros(cat.dim(x), cat.dim(r))
+                v = slot_bridge(cat, units, r, zero_off, x, zero_off, cls)
                 proj = v @ v.adjoint()
                 if v.adjoint() @ v != cat.unit(r):
                     raise CertificateError("the range bridge is not an isometry")

@@ -11,7 +11,9 @@ and ``combine`` builds the sums of scaled matrices they describe.
 
 Canonical forms matter: subspaces of matrix spaces are always represented
 by the reduced row-echelon basis of their flattened entry vectors, which
-makes equality of subspaces decidable by tuple comparison.
+makes equality of subspaces decidable by tuple comparison.  A pivot row
+is scaled only when its pivot is not already 1, so eliminating a basis
+that is already canonical does zero tests only.
 """
 
 from __future__ import annotations
@@ -438,8 +440,9 @@ def _row_echelon(rows, stop_col=None):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        if rows[r][c] != ONE:
+            inv = ONE / rows[r][c]
+            rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i == r:
                 continue

@@ -821,20 +821,19 @@ def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
     return MatrixUnitSystem(i, tuple(slots), tuple(diagonal), tuple(from_reference))
 
 
-def slot_bridge(units, src_obj, src_offsets, tgt_obj, tgt_offsets, counts):
+def slot_bridge(cat, units, src_obj, src_offsets, tgt_obj, tgt_offsets, counts):
     """A partial isometry assembled from matrix-unit bridges: per block
     i it sends the copies [src_offsets[i], src_offsets[i] + counts[i])
     of src_obj to the copies [tgt_offsets[i], ...) of tgt_obj.
 
-    units: one MatrixUnitSystem per block, in block order.  Returns
-    None when every count is zero (the empty bridge)."""
-    total = None
+    units: one MatrixUnitSystem per block of cat, in block order.  The
+    empty bridge (every count zero) is the zero dim(tgt) x dim(src) matrix."""
+    total = ExactMatrix.zeros(cat.dim(tgt_obj), cat.dim(src_obj))
     for i, mu in enumerate(units):
         for c in range(counts[i]):
             u_t = mu.from_reference[mu.slots.index((tgt_obj, tgt_offsets[i] + c))]
             u_s = mu.from_reference[mu.slots.index((src_obj, src_offsets[i] + c))]
-            term = u_t @ u_s.adjoint()
-            total = term if total is None else total + term
+            total = total + u_t @ u_s.adjoint()
     return total
 
 

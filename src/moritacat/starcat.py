@@ -91,9 +91,7 @@ class ConcreteStarCategory:
         return ()
 
     def hom_span(self, src: str, tgt: str) -> MatrixSpan:
-        return MatrixSpan(
-            self.dim(tgt), self.dim(src), list(self.hom_basis(src, tgt))
-        )
+        return MatrixSpan(self.dim(tgt), self.dim(src), self.hom_basis(src, tgt))
 
     def hom_dim(self, src: str, tgt: str) -> int:
         return len(self.hom_basis(src, tgt))
@@ -114,17 +112,16 @@ class ConcreteStarCategory:
         return f"ConcreteStarCategory({dims})"
 
 
-def star_category(objects, homs, canonicalize=True) -> ConcreteStarCategory:
+def star_category(objects, homs) -> ConcreteStarCategory:
     """Build a category from declarations.
 
     objects: iterable of (name, dim) or (name, dim, unit-matrix).
     homs: mapping (src, tgt) -> iterable of matrices.
 
-    With canonicalize=True (the default) each hom span is replaced by
-    its reduced-echelon basis and zero spans are dropped; this is the
-    invariant every operation in the library expects.  Pass False only
-    for bases that already hold it, or to inspect raw input with
-    validate_category.
+    Each hom span is replaced by its reduced-echelon basis and zero
+    spans are dropped; this is the invariant every operation in the
+    library expects.  A basis that is already canonical re-canonicalizes
+    with zero tests only.
     """
     decls = []
     for spec in objects:
@@ -146,12 +143,9 @@ def star_category(objects, homs, canonicalize=True) -> ConcreteStarCategory:
                 raise ShapeError(
                     f"hom({src}, {tgt}) contains a matrix of the wrong shape"
                 )
-        if canonicalize:
-            span = MatrixSpan(by_name[tgt].dim, by_name[src].dim, list(mats))
-            mats = span.matrices
-            if not mats:
-                continue
-        processed[(src, tgt)] = mats
+        mats = MatrixSpan(by_name[tgt].dim, by_name[src].dim, mats).matrices
+        if mats:
+            processed[(src, tgt)] = mats
 
     ordered = tuple(sorted(processed.items(), key=lambda kv: kv[0]))
     return ConcreteStarCategory(tuple(decls), ordered)
@@ -181,7 +175,7 @@ def validate_category(cat: ConcreteStarCategory):
     spans = {}
     for x, y in cat.pairs():
         basis = cat.hom_basis(x, y)
-        spans[(x, y)] = MatrixSpan(cat.dim(y), cat.dim(x), list(basis))
+        spans[(x, y)] = cat.hom_span(x, y)
         if len(basis) != spans[(x, y)].dim:
             report.append(
                 Violation(
@@ -398,15 +392,11 @@ def validate_functor(f: StarFunctor):
     if problems:
         return problems
 
-    target_spans = {}
     for x, y in src.pairs():
         basis = src.hom_basis(x, y)
         if not basis:
             continue
-        fx, fy = f.apply_object(x), f.apply_object(y)
-        if (fx, fy) not in target_spans:
-            target_spans[(fx, fy)] = tgt.hom_span(fx, fy)
-        span = target_spans[(fx, fy)]
+        span = tgt.hom_span(f.apply_object(x), f.apply_object(y))
         for b, img in zip(basis, f.images(x, y)):
             if not span.contains(img):
                 problems.append(f"image of a hom({x}, {y}) element leaves the target span")

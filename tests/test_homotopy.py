@@ -239,6 +239,29 @@ def test_bounded_enumeration_counts():
     assert mon.zero() in mon.bounded_elements(0)
 
 
+@pytest.mark.parametrize("rows", range(3))
+@pytest.mark.parametrize("cols", range(4))
+def test_bounded_enumeration_matches_the_filtered_walk(rows, cols):
+    forms = [decompose(zero_category()).form] + [
+        decompose(coproduct_of_grounds(k)).form for k in (1, 2, 3)
+    ]
+    mon = hom_monoid(forms[cols], forms[rows])
+    for bound in range(-1, 4):
+        walk = [
+            ho_morphism(mon.source_form, mon.target_form, m)
+            for m in itertools.product(
+                itertools.product(range(max(bound, 0) + 1), repeat=cols), repeat=rows
+            )
+            if sum(map(sum, m)) <= bound
+        ]
+        assert mon.bounded_elements(bound) == walk
+
+
+def test_bounded_enumeration_of_a_three_block_form():
+    three = coproduct_of_grounds(3)
+    assert len(hom_monoid(three, three).bounded_elements(3)) == 220
+
+
 # --- classifying functors ----------------------------------------------
 
 
@@ -767,7 +790,7 @@ def test_picard_census_certificate_raises(monkeypatch, census, message):
 
 def test_iso_witness_certificate_raises(monkeypatch):
     # A zero bridge between two rank-one objects is not a unitary.
-    monkeypatch.setattr(homotopy, "slot_bridge", lambda *args: None)
+    monkeypatch.setattr(homotopy, "slot_bridge", lambda *args: ExactMatrix.zeros(2, 1))
     o1 = ProjObject(("x",), ExactMatrix.identity(1))
     o2 = ProjObject(("x", "x"), ExactMatrix.diagonal([0, 1]))
     with pytest.raises(CertificateError, match="not a unitary"):

@@ -49,6 +49,8 @@ from moritacat.scalar import (
 )
 from moritacat.semisimple import NotSplitOverBaseField
 from moritacat.starcat import (
+    ConcreteStarCategory,
+    ObjectDecl,
     compose_functors,
     coproduct_of_grounds,
     disjoint_union,
@@ -402,7 +404,9 @@ def test_interval_mediator_rejects_non_unitary():
 def test_pushouts_refuse_non_canonical_hom_bases():
     # The mediators reuse a cocone's stored images on the original
     # pairs, so the pushout must keep the original bases there.
-    raw = star_category([("x", 1)], {("x", "x"): [mat([[2]])]}, canonicalize=False)
+    raw = ConcreteStarCategory(
+        (ObjectDecl("x", 1, ExactMatrix.identity(1)),), ((("x", "x"), (mat([[2]]),)),)
+    )
     with pytest.raises(ValueError, match="not in canonical form"):
         pushout_interval(raw, "x")
     g = assignment(raw, {"o1": "x"}, {"p1_1": mat([[1]])})
@@ -529,8 +533,23 @@ def test_rn_mediator_rejects_non_commuting_cocone():
         {"o1": "x", "r(1)": "x"},
         {"s1": ExactMatrix.identity(2)},
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cocone does not commute on the matrix entry \(1,1\)"):
         rn_pushout_mediator(po, identity_functor(m2), bad)
+
+
+def test_rn_mediator_rejects_a_cocone_moving_an_object():
+    pts = coproduct_of_grounds(2)
+    zero = ExactMatrix.zeros(1, 1)
+    g = assignment(
+        pts,
+        {"o1": "x1", "o2": "x2"},
+        {"p1_1": mat([[1]]), "p1_2": zero, "p2_1": zero, "p2_2": zero},
+    )
+    t1 = assignment(
+        pts, {"o1": "x1", "o2": "x1", "r(2)": "x1"}, {"s1": mat([[1]]), "s2": zero}
+    )
+    with pytest.raises(ValueError, match="cocone does not commute on object o2"):
+        rn_pushout_mediator(pushout_rn(pts, g), identity_functor(pts), t1)
 
 
 # ---------------------------------------------------------------------------

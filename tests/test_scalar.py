@@ -355,6 +355,17 @@ class TestSolverContract:
         inv = a.inverse()
         assert a @ inv == inv @ a == ExactMatrix.identity(n)
 
+    @contract
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_echelon_basis_is_a_fixed_point(self, r, c, data):
+        a = data.draw(exact_matrices(r, c))
+        basis = echelon_basis([a.row(i) for i in range(a.rows)])
+        assert echelon_basis(basis) == basis
+        for k, row in enumerate(basis):
+            p = next(j for j, x in enumerate(row) if x)
+            assert row[p] == gr(1)
+            assert all(other[p].is_zero() for i, other in enumerate(basis) if i != k)
+
 
 # ---------------------------------------------------------------------------
 # range projections

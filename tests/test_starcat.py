@@ -6,6 +6,8 @@ import pytest
 
 from moritacat.scalar import ExactMatrix, ShapeError, matrix
 from moritacat.starcat import (
+    ConcreteStarCategory,
+    ObjectDecl,
     Violation,
     compose_functors,
     coproduct_of_grounds,
@@ -56,9 +58,9 @@ class TestValidation:
 
     def test_dependent_raw_basis_detected(self):
         e = ExactMatrix.identity(1)
-        cat = star_category(
-            [("x", 1)], {("x", "x"): [e, e.scale(matrix([[2]]).entry(0, 0))]},
-            canonicalize=False,
+        cat = ConcreteStarCategory(
+            (ObjectDecl("x", 1, e),),
+            ((("x", "x"), (e, e.scale(matrix([[2]]).entry(0, 0)))),),
         )
         report = validate_category(cat)
         assert any(v.kind == "independence" for v in report)
