@@ -423,22 +423,23 @@ def compose_into_saturation(g: StarFunctor, f: StarFunctor) -> StarFunctor:
 
 def pointwise_sum(f: StarFunctor, g: StarFunctor) -> StarFunctor:
     """The pointwise direct sum x -> F(x) (+) G(x), realized on
-    canonical sums; its class is the entrywise sum of the classes."""
+    canonical sums; its class is the entrywise sum of the classes.
+    An arrow m goes to the block diagonal of p_F(y) F(m) p_F(x)* and
+    p_G(y) G(m) p_G(x)*, which is v_F(y) F(m) v_F(x)* + v_G(y) G(m) v_G(x)*
+    for the canonical isometries v."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("functors with different ends cannot be summed")
     a, b = f.source, f.target.base
-    object_map = {}
-    isometries = {}
-    for x in a.object_names():
-        total, (vf, vg) = canonical_sum(b, [f.apply_object(x), g.apply_object(x)])
-        object_map[x] = total
-        isometries[x] = (vf, vg)
+    object_map = {
+        x: canonical_sum(b, [f.apply_object(x), g.apply_object(x)])[0]
+        for x in a.object_names()
+    }
     arrow_map = {}
     for x, y in a.pairs():
-        vfx, vgx = isometries[x]
-        vfy, vgy = isometries[y]
+        fx, fy = f.apply_object(x).proj, f.apply_object(y).proj
+        gx, gy = g.apply_object(x).proj, g.apply_object(y).proj
         arrow_map[(x, y)] = [
-            vfy @ fm @ vfx.adjoint() + vgy @ gm @ vgx.adjoint()
+            block_diag([fy @ fm @ fx.adjoint(), gy @ gm @ gx.adjoint()])
             for fm, gm in zip(f.images(x, y), g.images(x, y), strict=True)
         ]
     return saturation_functor(a, b, object_map, arrow_map)

@@ -19,6 +19,7 @@ from moritacat import homotopy
 from moritacat.completion import (
     LazySaturation,
     ProjObject,
+    canonical_sum,
     iota,
     saturation_functor,
     zero_proj_object,
@@ -418,6 +419,35 @@ def test_pointwise_sum_matches_ho_add_generally():
     )
     assert validate_functor(rep) == []
     assert class_of_functor(rep) == ho_add(f, g)
+
+
+@pytest.mark.parametrize(
+    "a, b, f, g",
+    [
+        (M2, M2, [[1]], [[2]]),
+        (TWO_POINTS, M2, [[1, 2]], [[0, 1]]),
+        (M2, TWO_POINTS, [[1], [2]], [[2], [0]]),
+    ],
+    ids=["M2-M2", "two-M2", "M2-two"],
+)
+def test_pointwise_sum_arrows_match_the_isometry_formula(a, b, f, g):
+    """Every arrow image is v_F(y) F(m) v_F(x)* + v_G(y) G(m) v_G(x)*
+    over the canonical isometries, entry for entry."""
+    fa, fb = decompose(a).form, decompose(b).form
+    rf = representative_functor(ho_morphism(fa, fb, f), a, b)
+    rg = representative_functor(ho_morphism(fa, fb, g), a, b)
+    total = pointwise_sum(rf, rg)
+
+    def isometries(x):
+        return canonical_sum(b, [rf.apply_object(x), rg.apply_object(x)])[1]
+
+    for x, y in a.pairs():
+        (vfx, vgx), (vfy, vgy) = isometries(x), isometries(y)
+        expected = [
+            vfy @ fm @ vfx.adjoint() + vgy @ gm @ vgx.adjoint()
+            for fm, gm in zip(rf.images(x, y), rg.images(x, y))
+        ]
+        assert list(total.images(x, y)) == expected
 
 
 def test_pointwise_sum_needs_matching_ends():
