@@ -1,6 +1,7 @@
 """Block decomposition, object classes, minimal projections, matrix
 units, and the Morita decision in normal form."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -366,3 +367,46 @@ def test_witness_functor_matches_blocks_in_order():
     da, db = decompose(a), decompose(b)
     img = wit.apply_object("x")
     assert object_class(db, img) == object_class(da, "x")
+
+
+# --- one corner search, block witnesses kept per decomposition ----------
+
+
+@functools.lru_cache(maxsize=None)
+def _census():
+    import random
+
+    from moritacat.generate import random_category
+
+    rng = random.Random(5)
+    return [
+        random_category(rng, max_blocks=3, max_mult=2, max_objects=2).category
+        for _ in range(20)
+    ]
+
+
+@pytest.mark.parametrize("n", range(20))
+def test_minimal_projection_is_the_first_matrix_unit_slot(n):
+    d = decompose(_census()[n])
+    for i, name in enumerate(d.blocks):
+        mu = matrix_units(d, i)
+        first = ProjObject((mu.slots[0][0],), mu.diagonal[0])
+        assert minimal_projection(d, i) == first
+        assert minimal_projection(d, name) == first
+
+
+def test_failed_corner_search_is_not_stored(monkeypatch):
+    def miss(*args):
+        raise semisimple.MinimalProjectionError("planted miss")
+
+    monkeypatch.setattr(semisimple, "_minimal_projection_in_span", miss)
+    # An object name no other test uses: the decompose cache is process-wide.
+    units = [matrix([[1, 0], [0, 0]]), matrix([[0, 1], [0, 0]]),
+             matrix([[0, 0], [1, 0]]), matrix([[0, 0], [0, 1]])]
+    cat = star_category([("unstored", 2)], {("unstored", "unstored"): units})
+    d = decompose(cat)
+    for _ in range(2):
+        with pytest.raises(semisimple.MinimalProjectionError, match="planted miss"):
+            minimal_projection(d, 0)
+        with pytest.raises(semisimple.MinimalProjectionError, match="planted miss"):
+            matrix_units(d, 0)
