@@ -113,11 +113,7 @@ def _as_form(value, path) -> SemisimpleForm:
     are decomposed)."""
     if isinstance(value, SemisimpleForm):
         return value
-    if isinstance(value, ConcreteStarCategory):
-        return decompose(value).form
-    raise CommandError(
-        f"{path}: a category document is required (concrete or semisimple)"
-    )
+    return decompose(_as_concrete(value, path)).form
 
 
 def _load_concrete(path):
@@ -163,6 +159,10 @@ def _class_str(cls):
     return "(" + ", ".join(str(c) for c in cls) + ")"
 
 
+def _class_lines(object_classes):
+    return ["object classes:"] + [f"  {name}: {_class_str(cls)}" for name, cls in object_classes]
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -193,22 +193,15 @@ def cmd_decompose(args):
         form = value
         doc = jsonio.semisimple_form_to_json(form)
         lines = [f"already semisimple: {form.k} block(s)"]
-    elif isinstance(value, ConcreteStarCategory):
-        d = decompose(value)
+    else:
+        d = decompose(_as_concrete(value, args.file))
         form = d.form
         doc = jsonio.semisimple_form_to_json(form)
         doc["unit_ranks"] = list(d.unit_ranks)
         lines = [f"{form.k} block(s)"]
         for name, rank in zip(form.blocks, d.unit_ranks):
             lines.append(f"  {name}: unit rank {rank}")
-    else:
-        raise CommandError(
-            f"{args.file}: a category document is required (concrete or semisimple)"
-        )
-    lines.append("object classes:")
-    for name, cls in form.object_classes:
-        lines.append(f"  {name}: {_class_str(cls)}")
-    return _emit(args, doc, lines)
+    return _emit(args, doc, lines + _class_lines(form.object_classes))
 
 
 def _load_proj_object(path, cat):
@@ -360,10 +353,7 @@ def cmd_k0(args):
     }
     lines = [f"free abelian of rank {group.rank} on blocks: "
              + ", ".join(group.blocks)]
-    lines.append("object classes:")
-    for name, cls in group.object_classes:
-        lines.append(f"  {name}: {_class_str(cls)}")
-    return _emit(args, doc, lines)
+    return _emit(args, doc, lines + _class_lines(group.object_classes))
 
 
 def cmd_tensor(args):
@@ -373,10 +363,7 @@ def cmd_tensor(args):
     doc = jsonio.semisimple_form_to_json(product)
     lines = [f"tensor product has {product.k} block(s): "
              + ", ".join(product.blocks)]
-    lines.append("object classes:")
-    for name, cls in product.object_classes:
-        lines.append(f"  {name}: {_class_str(cls)}")
-    return _emit(args, doc, lines)
+    return _emit(args, doc, lines + _class_lines(product.object_classes))
 
 
 def cmd_k0_ring(args):

@@ -334,25 +334,20 @@ class ExtendedFunctor:
 
     def __init__(self, functor: StarFunctor):
         self.functor = functor
-        self.source_base = functor.source
 
     def apply_object(self, obj: ProjObject) -> ProjObject:
         f = self.functor
         word = tuple(
             x for letter in obj.word for x in f.apply_object(letter).word
         )
-        proj = self._apply_blocks(obj, obj, obj.proj)
-        image = ProjObject(word, proj)
+        proj = self.apply_arrow(obj, obj, obj.proj)
         if not (proj @ proj == proj and proj == proj.adjoint()):
             raise CertificateError("extension did not produce a projection")
-        return image
+        return ProjObject(word, proj)
 
     def apply_arrow(self, src: ProjObject, tgt: ProjObject, m: ExactMatrix) -> ExactMatrix:
-        return self._apply_blocks(src, tgt, m)
-
-    def _apply_blocks(self, src: ProjObject, tgt: ProjObject, m: ExactMatrix) -> ExactMatrix:
         f = self.functor
-        base = self.source_base
+        base = f.source
         if not src.word or not tgt.word:
             rows = sum(f.target.dim(f.apply_object(x)) for x in tgt.word)
             cols = sum(f.target.dim(f.apply_object(x)) for x in src.word)

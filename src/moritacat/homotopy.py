@@ -38,6 +38,7 @@ from .scalar import (
     CertificateError,
     ExactMatrix,
     block_diag,
+    check_partial_isometry,
     kron,
     span_membership,
 )
@@ -365,7 +366,6 @@ def representative_functor(
     if da.form != h.source_form or db.form != h.target_form:
         raise ValueError("the matrix does not connect the forms of these categories")
     ka, kb = len(da.blocks), len(db.blocks)
-    units = [matrix_units(da, i) for i in range(ka)]
     min_projs = [minimal_projection(db, j) for j in range(kb)]
     qs = [
         canonical_sum(b, [min_projs[j] for j in range(kb) for _ in range(h.mult[j][i])])[0]
@@ -382,7 +382,7 @@ def representative_functor(
             continue
         unit_elements = [
             mu.unit(mu.slots.index((y, cy)), mu.slots.index((x, cx)))
-            for mu in units
+            for mu in (matrix_units(da, i) for i in range(ka))
             for cy in range(da.object_mult[y][mu.block_index])
             for cx in range(da.object_mult[x][mu.block_index])
         ]
@@ -460,12 +460,10 @@ def saturation_iso_witness(base: ConcreteStarCategory, o1, o2):
     c1, c2 = object_class(d, "a"), object_class(d, "b")
     if c1 != c2:
         return None
-    k = len(d.blocks)
-    units = [matrix_units(d, i) for i in range(k)]
-    zero_off = tuple(0 for _ in range(k))
-    u = slot_bridge(sub, units, "a", zero_off, "b", zero_off, c1)
-    if u.adjoint() @ u != o1.proj or u @ u.adjoint() != o2.proj:
-        raise CertificateError("the assembled bridge is not a unitary between the objects")
+    u = slot_bridge(d, "a", "b", c1)
+    check_partial_isometry(
+        u, o1.proj, o2.proj, "the assembled bridge is not a unitary between the objects"
+    )
     if not sat.contains_arrow(o1, o2, u):
         raise CertificateError("the assembled bridge is outside the saturation hom space")
     return u

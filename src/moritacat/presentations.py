@@ -40,6 +40,7 @@ from .scalar import (
     ExactMatrix,
     GaussianRational,
     ShapeError,
+    check_partial_isometry,
     combine,
     from_blocks,
     linear_combination,
@@ -1031,8 +1032,7 @@ def _probe_saturation(sat, samples, projections):
     splits = []
     for obj, q in projections:
         rng, v = canonical_range(base, obj, q)
-        if not (v.adjoint() @ v == rng.proj and v @ v.adjoint() == q):
-            raise CertificateError("the range isometry does not split the projection")
+        check_partial_isometry(v, rng.proj, q, "the range isometry does not split the projection")
         splits.append(SplitProbe(obj, None, True, rng, q, v))
     return ProbeReport("saturation", zero, tuple(sums), tuple(splits), True, "saturated")
 
@@ -1048,21 +1048,15 @@ def _probe_concrete(cat):
     )
 
     d = decompose(cat)
-    k = len(d.blocks)
-    zero_off = tuple(0 for _ in range(k))
     names = cat.object_names()
 
-    zero_witness = None
-    for x in names:
-        if cat.unit(x).is_zero():
-            zero_witness = x
-            break
+    zero_witness = next((x for x in names if cat.unit(x).is_zero()), None)
     zero = ZeroProbe(zero_witness is not None, zero_witness)
 
-    units = None
     units_note = None
     try:
-        units = [matrix_units(d, i) for i in range(k)]
+        for i in range(len(d.blocks)):
+            matrix_units(d, i)
     except (WitnessObstruction, MinimalProjectionError) as exc:
         units_note = f"witness construction unavailable: {exc}"
 
@@ -1081,9 +1075,9 @@ def _probe_concrete(cat):
             ok = z is not None
             isos = None
             note = None
-            if ok and units is not None:
-                v1 = slot_bridge(cat, units, x, zero_off, z, zero_off, cx)
-                v2 = slot_bridge(cat, units, y, zero_off, z, cx, cy)
+            if ok and units_note is None:
+                v1 = slot_bridge(d, x, z, cx)
+                v2 = slot_bridge(d, y, z, cy, cx)
                 if not (v1.adjoint() @ v1 == cat.unit(x) and v2.adjoint() @ v2 == cat.unit(y)):
                     raise CertificateError("a sum injection is not an isometry")
                 if not (v1.adjoint() @ v2).is_zero():
@@ -1104,8 +1098,8 @@ def _probe_concrete(cat):
             proj = None
             iso = None
             note = None
-            if ok and units is not None:
-                v = slot_bridge(cat, units, r, zero_off, x, zero_off, cls)
+            if ok and units_note is None:
+                v = slot_bridge(d, r, x, cls)
                 proj = v @ v.adjoint()
                 if v.adjoint() @ v != cat.unit(r):
                     raise CertificateError("the range bridge is not an isometry")

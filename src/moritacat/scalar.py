@@ -654,6 +654,12 @@ def range_projection(e: ExactMatrix) -> ExactMatrix:
     return p
 
 
+def check_partial_isometry(v: ExactMatrix, p: ExactMatrix, q: ExactMatrix, message: str):
+    """Raise CertificateError(message) unless v* v = p and v v* = q."""
+    if v.adjoint() @ v != p or v @ v.adjoint() != q:
+        raise CertificateError(message)
+
+
 def orthogonal_projection_onto(columns: ExactMatrix) -> ExactMatrix:
     """Projection onto the column space of an injective exact matrix.
 

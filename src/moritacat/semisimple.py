@@ -23,15 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .completion import ProjObject
 from .scalar import (
+    I,
+    ONE,
+    ZERO,
     CertificateError,
     ExactMatrix,
     GaussianRational,
     MatrixSpan,
     block_diag,
+    check_partial_isometry,
     combine,
     echelon_basis,
     linear_combination,
@@ -205,7 +209,8 @@ class SemisimpleForm:
 
 
 class Decomposition:
-    """A category together with its exact block data."""
+    """A category together with its exact block data and the block
+    witnesses (minimal projections, matrix units) built from it."""
 
     def __init__(self, category, blocks, centrals, object_mult, unit_ranks):
         self.category = category
@@ -214,6 +219,7 @@ class Decomposition:
         self.object_mult = object_mult  # {object -> tuple[int]}
         self.unit_ranks = unit_ranks  # tuple[int]: ambient rank of one
         #   block-i multiplicity unit (the constant k_i above)
+        self._witnesses = {}  # (witness name, block index) -> witness, write-once
 
     @property
     def form(self) -> SemisimpleForm:
@@ -277,7 +283,7 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
                 right = [b @ B for B in end_bases[x]]  # b z_x
                 for r in range(b.rows):
                     for c in range(b.cols):
-                        row = [_ZERO] * total_vars
+                        row = [ZERO] * total_vars
                         for k, m in enumerate(left):
                             row[var_offset[y] + k] = row[var_offset[y] + k] + m.entry(r, c)
                         for k, m in enumerate(right):
@@ -285,7 +291,7 @@ def decompose(cat: ConcreteStarCategory) -> Decomposition:
                         constraint_rows.append(tuple(row))
 
     center_vectors = nullspace(constraint_rows) if constraint_rows else tuple(
-        tuple(_ONE if i == j else _ZERO for i in range(total_vars))
+        tuple(ONE if i == j else ZERO for i in range(total_vars))
         for j in range(total_vars)
     )
 
@@ -422,10 +428,6 @@ def _block_sum_decomposition(cat, da, db, pairs):
     return d
 
 
-_ZERO = GaussianRational(Fraction(0), Fraction(0))
-_ONE = GaussianRational(Fraction(1), Fraction(0))
-
-
 def _split_piece(cat, order, e, h):
     """Split a central projection e along the spectrum of the
     self-adjoint central element h."""
@@ -542,20 +544,20 @@ def _commutant(dim, unit, span_matrices):
     # Variables: entries of T, row-major.  Constraint: unit T - T = 0.
     def unit_left(r, c, k):
         i, j = divmod(k, n)
-        acc = _ZERO
+        acc = ZERO
         if j == c:
             acc = acc + unit.entry(r, i)
         if (i, j) == (r, c):
-            acc = acc - _ONE
+            acc = acc - ONE
         return acc
 
     def unit_right(r, c, k):
         i, j = divmod(k, n)
-        acc = _ZERO
+        acc = ZERO
         if i == r:
             acc = acc + unit.entry(j, c)
         if (i, j) == (r, c):
-            acc = acc - _ONE
+            acc = acc - ONE
         return acc
 
     add_constraint(unit_left)
@@ -563,7 +565,7 @@ def _commutant(dim, unit, span_matrices):
     for b in span_matrices:
         def commute(r, c, k, b=b):
             i, j = divmod(k, n)
-            acc = _ZERO
+            acc = ZERO
             if i == r:
                 acc = acc + b.entry(j, c)  # (T b)[r, c] term
             if j == c:
@@ -576,10 +578,11 @@ def _commutant(dim, unit, span_matrices):
     return [ExactMatrix(n, n, v) for v in basis]
 
 
-def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
-    """An exact projection in the span with block multiplicity one.
+def _minimal_projection_in_span(cat, name, unit, mult, unit_rank):
+    """An exact projection of block multiplicity one in the corner
+    unit End(name) unit, for a projection unit under a block central.
 
-    The span is a simple matrix algebra of size ``mult`` acting with
+    The corner is a simple matrix algebra of size ``mult`` acting with
     multiplicity ``unit_rank`` on the range of ``unit``.  A projection
     commuting with the commutant and of ambient rank ``unit_rank`` is
     orthogonal projection onto a minimal commutant-submodule; the search
@@ -587,6 +590,8 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
     """
     if mult == 1:
         return unit
+    dim = cat.dim(name)
+    span_matrices = [unit @ b @ unit for b in cat.hom_basis(name, name)]
     commutant = _commutant(dim, unit, span_matrices)
     if len(commutant) != unit_rank * unit_rank:
         raise MinimalProjectionError(
@@ -600,14 +605,13 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
         list(v) for v in echelon_basis([columns.row(j) for j in range(columns.rows)])
     ]
     candidates = list(col_vectors)
-    iu = GaussianRational(Fraction(0), Fraction(1))
     for a in range(len(col_vectors)):
         for b in range(a + 1, len(col_vectors)):
             va, vb = col_vectors[a], col_vectors[b]
             candidates.append([x + y for x, y in zip(va, vb)])
             candidates.append([x - y for x, y in zip(va, vb)])
-            candidates.append([x + iu * y for x, y in zip(va, vb)])
-            candidates.append([x - iu * y for x, y in zip(va, vb)])
+            candidates.append([x + I * y for x, y in zip(va, vb)])
+            candidates.append([x - I * y for x, y in zip(va, vb)])
     for w in candidates:
         wcol = ExactMatrix(dim, 1, tuple(w))
         orbit = [c @ wcol for c in commutant]
@@ -631,31 +635,36 @@ def _minimal_projection_in_span(dim, unit, span_matrices, mult, unit_rank):
     )
 
 
+def _per_block(build):
+    """A block witness kept in the decomposition's write-once store, so
+    it is built once per decomposition; a raise is not stored.  The block
+    is given by index or by name."""
+
+    @wraps(build)
+    def witness(decomp: Decomposition, block):
+        i = decomp.blocks.index(block) if isinstance(block, str) else block
+        found = decomp._witnesses.get((build.__name__, i))
+        if found is None:
+            found = decomp._witnesses.setdefault((build.__name__, i), build(decomp, i))
+        return found
+
+    return witness
+
+
+@_per_block
 def minimal_projection(decomp: Decomposition, block) -> ProjObject:
     """A saturation object of class one in the given block and zero in
     all others: a one-letter word with an exact minimal projection."""
-    if isinstance(block, str):
-        i = decomp.blocks.index(block)
-    else:
-        i = block
     cat = decomp.category
-    support = None
-    for x in cat.object_names():
-        if decomp.object_mult[x][i] > 0:
-            support = x
-            break
+    support = next((x for x in cat.object_names() if decomp.object_mult[x][block] > 0), None)
     if support is None:
         raise CertificateError("block with no supporting object")
-    z = decomp.centrals[i][support]
-    m = decomp.object_mult[support][i]
-    k = decomp.unit_ranks[i]
-    block_span = [
-        z @ b @ z for b in cat.hom_basis(support, support)
-    ]
-    e = _minimal_projection_in_span(cat.dim(support), z, block_span, m, k)
+    z = decomp.centrals[block][support]
+    m = decomp.object_mult[support][block]
+    e = _minimal_projection_in_span(cat, support, z, m, decomp.unit_ranks[block])
     obj = ProjObject((support,), e)
     cls = object_class(decomp, obj)
-    if cls != tuple(1 if j == i else 0 for j in range(len(decomp.blocks))):
+    if cls != tuple(1 if j == block else 0 for j in range(len(decomp.blocks))):
         raise CertificateError("the minimal projection is not of class one in its block")
     return obj
 
@@ -713,7 +722,7 @@ def rational_as_norm(q: Fraction):
     if q < 0:
         return None
     if q == 0:
-        return GaussianRational(Fraction(0), Fraction(0))
+        return ZERO
     n = q.numerator * q.denominator
     g = (1, 0)
     for p, e in sympy.factorint(n).items():
@@ -755,9 +764,11 @@ class MatrixUnitSystem:
         return self.from_reference[a] @ self.from_reference[b].adjoint()
 
 
+@_per_block
 def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
-    """Exact matrix units for a block; raises WitnessObstruction when a
-    required scaling is not a Q(i)-norm."""
+    """Exact matrix units for a block, the first slot holding its minimal
+    projection; raises WitnessObstruction when a required scaling is not
+    a Q(i)-norm."""
     cat = decomp.category
     i = block_index
     k = decomp.unit_ranks[i]
@@ -766,35 +777,19 @@ def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
     diagonal = []
     for x in cat.object_names():
         m = decomp.object_mult[x][i]
-        if m == 0:
-            continue
-        z = decomp.centrals[i][x]
-        end_basis = cat.hom_basis(x, x)
-        block_span = [z @ b @ z for b in end_basis]
-        remaining = z
-        projs = []
+        remaining = decomp.centrals[i][x]
         for copy in range(m):
-            mult_left = m - copy
-            if mult_left == 1:
-                f = remaining
+            if slots:
+                f = _minimal_projection_in_span(cat, x, remaining, m - copy, k)
             else:
-                corner = [remaining @ b @ remaining for b in block_span]
-                f = _minimal_projection_in_span(
-                    cat.dim(x), remaining, corner, mult_left, k
-                )
-            projs.append(f)
-            remaining = remaining - f
-        for copy, f in enumerate(projs):
+                f = minimal_projection(decomp, i).proj
             slots.append((x, copy))
             diagonal.append(f)
+            remaining = remaining - f
 
-    ref_obj, _ = slots[0]
-    ref_proj = diagonal[0]
-    from_reference = []
-    for (x, copy), f in zip(slots, diagonal):
-        if (x, copy) == slots[0]:
-            from_reference.append(ref_proj)
-            continue
+    (ref_obj, _), ref_proj = slots[0], diagonal[0]
+    from_reference = [ref_proj]
+    for (x, _), f in zip(slots[1:], diagonal[1:]):
         basis = cat.hom_basis(ref_obj, x)
         compressed = [f @ b @ ref_proj for b in basis]
         span = MatrixSpan(cat.dim(x), cat.dim(ref_obj), compressed)
@@ -814,25 +809,28 @@ def matrix_units(decomp: Decomposition, block_index: int) -> MatrixUnitSystem:
                 f"partial isometry scaling needs |mu|^2 = {lam}, which is "
                 "not a norm from Q(i)"
             )
-        u = t.scale(GaussianRational(Fraction(1), Fraction(0)) / mu)
-        if not (u.adjoint() @ u == ref_proj and u @ u.adjoint() == f):
-            raise CertificateError("the matrix unit is not a partial isometry onto its slot")
+        u = t.scale(ONE / mu)
+        check_partial_isometry(
+            u, ref_proj, f, "the matrix unit is not a partial isometry onto its slot"
+        )
         from_reference.append(u)
     return MatrixUnitSystem(i, tuple(slots), tuple(diagonal), tuple(from_reference))
 
 
-def slot_bridge(cat, units, src_obj, src_offsets, tgt_obj, tgt_offsets, counts):
-    """A partial isometry assembled from matrix-unit bridges: per block
-    i it sends the copies [src_offsets[i], src_offsets[i] + counts[i])
-    of src_obj to the copies [tgt_offsets[i], ...) of tgt_obj.
-
-    units: one MatrixUnitSystem per block of cat, in block order.  The
-    empty bridge (every count zero) is the zero dim(tgt) x dim(src) matrix."""
+def slot_bridge(decomp: Decomposition, src_obj, tgt_obj, counts, tgt_offsets=None):
+    """A partial isometry assembled from the decomposition's matrix
+    units: per block i it sends the copies [0, counts[i]) of src_obj to
+    the copies [tgt_offsets[i], tgt_offsets[i] + counts[i]) of tgt_obj
+    (from copy 0 when no offsets are given).  The empty bridge (every
+    count zero) is the zero dim(tgt) x dim(src) matrix."""
+    cat = decomp.category
     total = ExactMatrix.zeros(cat.dim(tgt_obj), cat.dim(src_obj))
-    for i, mu in enumerate(units):
-        for c in range(counts[i]):
-            u_t = mu.from_reference[mu.slots.index((tgt_obj, tgt_offsets[i] + c))]
-            u_s = mu.from_reference[mu.slots.index((src_obj, src_offsets[i] + c))]
+    for i, n in enumerate(counts):
+        mu = matrix_units(decomp, i)
+        at = tgt_offsets[i] if tgt_offsets else 0
+        for c in range(n):
+            u_t = mu.from_reference[mu.slots.index((tgt_obj, at + c))]
+            u_s = mu.from_reference[mu.slots.index((src_obj, c))]
             total = total + u_t @ u_s.adjoint()
     return total
 

@@ -395,18 +395,44 @@ def test_minimal_projection_is_the_first_matrix_unit_slot(n):
         assert minimal_projection(d, name) == first
 
 
+def _m2_on(name):
+    """M_2 on an object of the given name.  The decompose cache is
+    process-wide, so a name no other test uses gives a fresh decomposition."""
+    units = [E11, matrix([[0, 1], [0, 0]]), matrix([[0, 0], [1, 0]]), E22]
+    return star_category([(name, 2)], {(name, name): units})
+
+
 def test_failed_corner_search_is_not_stored(monkeypatch):
     def miss(*args):
         raise semisimple.MinimalProjectionError("planted miss")
 
     monkeypatch.setattr(semisimple, "_minimal_projection_in_span", miss)
-    # An object name no other test uses: the decompose cache is process-wide.
-    units = [matrix([[1, 0], [0, 0]]), matrix([[0, 1], [0, 0]]),
-             matrix([[0, 0], [1, 0]]), matrix([[0, 0], [0, 1]])]
-    cat = star_category([("unstored", 2)], {("unstored", "unstored"): units})
-    d = decompose(cat)
+    d = decompose(_m2_on("unstored"))
     for _ in range(2):
         with pytest.raises(semisimple.MinimalProjectionError, match="planted miss"):
             minimal_projection(d, 0)
         with pytest.raises(semisimple.MinimalProjectionError, match="planted miss"):
             matrix_units(d, 0)
+
+
+def test_block_witnesses_are_built_once_per_decomposition(monkeypatch):
+    from moritacat.homotopy import ClassMatrix, class_of_functor, representative_functor
+
+    search = semisimple._minimal_projection_in_span
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(semisimple, "_minimal_projection_in_span", counted)
+    a = star_category([("once", 2)], {("once", "once"): [E11, E22]})
+    b = _m2_on("once")
+    h = ClassMatrix(decompose(a).form, decompose(b).form, ((1, 1),))
+    first = representative_functor(h, a, b)
+    assert class_of_functor(first) == h
+    assert calls
+    calls.clear()
+    assert representative_functor(h, a, b) == first
+    assert class_of_functor(first) == h
+    assert calls == []
