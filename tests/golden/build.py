@@ -2,7 +2,8 @@
 
 Each case is a verb with its input documents and the exact ``--json``
 standard output and exit code that ``moritacat.cli.main`` produced for
-it.  ``tests/test_golden.py`` replays every case and requires the same
+it; the ``help-*`` cases freeze the usage text of the parser and of
+every verb, wrapped at ``HELP_COLUMNS`` columns.  ``tests/test_golden.py`` replays every case and requires the same
 bytes, so a refactor that changes any report shows up as a diff.
 
 Run from the repository root to (re)freeze the corpus:
@@ -39,6 +40,13 @@ from moritacat.starcat import (
 )
 
 HERE = Path(__file__).resolve().parent
+# argparse wraps help text to the terminal width, read from COLUMNS.
+HELP_COLUMNS = "80"
+VERBS = (
+    "validate", "decompose", "saturate", "morita", "hom", "compose",
+    "picard", "k0", "tensor", "k0-ring", "universal", "pushout",
+    "fibrancy-probe", "lift-check",
+)
 
 GROUND = {
     "kind": "concrete",
@@ -144,6 +152,8 @@ CASES = [
     ("fibrancy-m2", ["fibrancy-probe", "m2.json"]),
     ("lift-found", ["lift-check", "lift_f.json", "lift_sq.json"]),
     ("lift-none", ["lift-check", "nolift_f.json", "nolift_sq.json"]),
+    ("help", ["--help"]),
+    *[(f"help-{verb}", [verb, "--help"]) for verb in VERBS],
 ]
 
 
@@ -162,6 +172,7 @@ def build():
         (inputs / name).write_text(jsonio.dumps(doc), encoding="utf-8")
     cases = []
     previous = os.getcwd()
+    os.environ["COLUMNS"] = HELP_COLUMNS
     os.chdir(inputs)
     try:
         for name, argv in CASES:

@@ -9,9 +9,13 @@ of class matrices: between the standard realizations of the
 ``ho-calculus`` benchmark forms (one class with a zero column, so an
 empty image summand), between disguised random draws (one of them the
 identity class, i.e. the Morita witness), between the ground category
-and M_2 both ways, and into and out of the zero category.  Each case must reproduce
-byte for byte, so a rewrite of one of these constructions in terms of
-another shows up as a diff.
+and M_2 both ways, and into and out of the zero category.  It also
+records every generating map between the universal presentations at
+n = 0..3 (or the error it raises), and the matrix units of disguised
+blocks of multiplicity two and unit rank two, whose corner searches go
+through the commutant.  Each case must reproduce byte for byte, so a
+rewrite of one of these constructions in terms of another shows up as
+a diff.
 
 To (re)freeze the outputs, on purpose and after reviewing the diff, run
 from the repository root:
@@ -36,13 +40,19 @@ from moritacat.generate import (
 )
 from moritacat.homotopy import comparison_functor, ho_morphism, representative_functor
 from moritacat.presentations import (
+    generating_map,
     interval_mediator,
     pushout_interval,
     pushout_rn,
     rn_pushout_mediator,
 )
 from moritacat.scalar import ExactMatrix
-from moritacat.semisimple import SemisimpleForm, decompose, standard_realization
+from moritacat.semisimple import (
+    SemisimpleForm,
+    decompose,
+    matrix_units,
+    standard_realization,
+)
 from moritacat.starcat import (
     coproduct_of_grounds,
     ground_category,
@@ -189,6 +199,39 @@ def realization_cases():
     }
 
 
+GENERATING_MAPS = ("F_to_P", "S_n", "R_n", "P_to_SP", "S_to_SP", "SP_to_SR", "R_to_SR")
+
+
+def generating_map_case(name, n):
+    try:
+        gm = generating_map(name, n)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {
+        "source": jsonio.presentation_to_json(gm.source),
+        "target": jsonio.presentation_to_json(gm.target),
+        "vertex_map": [list(pair) for pair in gm.vertex_map],
+        "arrow_map": [[a, jsonio.term_to_json(t)] for a, t in gm.arrow_map],
+    }
+
+
+def matrix_unit_case(index):
+    """The matrix units of draw ``index`` (0-based) of a one-block
+    shape with multiplicity two and unit rank up to two."""
+    rng = random.Random(13)
+    for _ in range(index + 1):
+        gen = random_category(
+            rng, max_blocks=1, max_mult=2, max_objects=2, max_rank=2, min_mult=2
+        )
+    units = matrix_units(decompose(gen.category), 0)
+    return {
+        "category": jsonio.category_to_json(gen.category),
+        "slots": [list(slot) for slot in units.slots],
+        "diagonal": [jsonio.matrix_to_json(m) for m in units.diagonal],
+        "from_reference": [jsonio.matrix_to_json(m) for m in units.from_reference],
+    }
+
+
 def random_draws():
     rng = random.Random(5)
     return [
@@ -243,6 +286,15 @@ CASES = {
     "comparison-disguised": lambda: comparison_case(disguised(3), disguised(4)),
     **realization_cases(),
     **representative_cases(),
+    **{
+        f"generating-map-{name}-{n}": lambda name=name, n=n: generating_map_case(name, n)
+        for name in GENERATING_MAPS
+        for n in range(4)
+    },
+    "generating-map-unknown": lambda: generating_map_case("nope", 1),
+    # Draws 4, 5, 6 and 11 have unit rank two and a corner search that
+    # succeeds; draws 2 and 8 miss.
+    **{f"matrix-units-{i}": lambda i=i: matrix_unit_case(i) for i in (4, 5, 6, 11)},
 }
 
 
