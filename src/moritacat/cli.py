@@ -20,6 +20,7 @@ on mathematical answers:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -516,7 +517,10 @@ def cmd_lift_check(args):
 # parser
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once on the first call, so that it
+    binds the ``cmd_*`` functions this module holds at that time."""
     parser = argparse.ArgumentParser(
         prog="moritacat",
         description=(
@@ -533,28 +537,16 @@ def _build_parser():
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
     sub.required = True
 
-    p = sub.add_parser(
-        "validate",
-        parents=[common],
-        help="parse a document and check every structural invariant",
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    def verb(name, func, help, *positionals):
+        p = sub.add_parser(name, parents=[common], help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "decompose",
-        parents=[common],
-        help="block decomposition of a category",
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser(
-        "saturate",
-        parents=[common],
-        help="query the saturation of a category",
-    )
-    p.add_argument("file")
+    verb("validate", cmd_validate, "parse a document and check every structural invariant", "file")
+    verb("decompose", cmd_decompose, "block decomposition of a category", "file")
+    p = verb("saturate", cmd_saturate, "query the saturation of a category", "file")
     p.add_argument(
         "--object", metavar="OBJ", help="validate a saturation-object document"
     )
@@ -564,47 +556,29 @@ def _build_parser():
         metavar=("SRC", "TGT"),
         help="hom-space basis between two saturation objects",
     )
-    p.set_defaults(func=cmd_saturate)
-
-    p = sub.add_parser(
-        "morita",
-        parents=[common],
-        help="decide Morita equivalence of two categories",
+    verb("morita", cmd_morita, "decide Morita equivalence of two categories", "a", "b")
+    p = verb(
+        "hom", cmd_hom, "the homotopy-category hom monoid between two categories", "a", "b"
     )
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_morita)
-
-    p = sub.add_parser(
-        "hom",
-        parents=[common],
-        help="the homotopy-category hom monoid between two categories",
-    )
-    p.add_argument("a")
-    p.add_argument("b")
     p.add_argument(
         "--bound",
         type=int,
         default=None,
         help="also count the elements with entry sum at most BOUND",
     )
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser(
+    verb(
         "compose",
-        parents=[common],
-        help="compose two homotopy classes (first applied first)",
+        cmd_compose,
+        "compose two homotopy classes (first applied first)",
+        "first",
+        "second",
     )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser(
+    p = verb(
         "picard",
-        parents=[common],
-        help="the Picard group (homotopy self-equivalences) of a category",
+        cmd_picard,
+        "the Picard group (homotopy self-equivalences) of a category",
+        "file",
     )
-    p.add_argument("file")
     p.add_argument(
         "--verify",
         action="store_true",
@@ -616,48 +590,28 @@ def _build_parser():
         default=2,
         help="entry bound of the --verify enumeration (default 2)",
     )
-    p.set_defaults(func=cmd_picard)
-
-    p = sub.add_parser(
-        "k0", parents=[common], help="the K0 group of a category"
-    )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_k0)
-
-    p = sub.add_parser(
+    verb("k0", cmd_k0, "the K0 group of a category", "file")
+    verb(
         "tensor",
-        parents=[common],
-        help="the tensor product of two categories, in semisimple form",
+        cmd_tensor,
+        "the tensor product of two categories, in semisimple form",
+        "a",
+        "b",
     )
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser(
-        "k0-ring",
-        parents=[common],
-        help="the ring structure on K0 of a product of base fields",
+    verb(
+        "k0-ring", cmd_k0_ring, "the ring structure on K0 of a product of base fields", "file"
     )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_k0_ring)
-
-    p = sub.add_parser(
-        "universal",
-        parents=[common],
-        help="emit a standard generating presentation",
-    )
+    p = verb("universal", cmd_universal, "emit a standard generating presentation")
     p.add_argument(
         "kind", choices=["F", "S", "P", "R", "SP", "SR", "I", "0"]
     )
     p.add_argument("n", nargs="?", type=int, default=None)
-    p.set_defaults(func=cmd_universal)
-
-    p = sub.add_parser(
+    p = verb(
         "pushout",
-        parents=[common],
-        help="adjoin an interval copy or a range object to a category",
+        cmd_pushout,
+        "adjoin an interval copy or a range object to a category",
+        "file",
     )
-    p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--interval", metavar="OBJECT", help="adjoin a unitary copy of OBJECT"
@@ -667,25 +621,19 @@ def _build_parser():
         metavar="ASSIGNMENT",
         help="adjoin a range object for a projection-matrix assignment",
     )
-    p.set_defaults(func=cmd_pushout)
-
-    p = sub.add_parser(
+    verb(
         "fibrancy-probe",
-        parents=[common],
-        help="probe a category for zero objects, sums, and splittings",
+        cmd_fibrancy_probe,
+        "probe a category for zero objects, sums, and splittings",
+        "file",
     )
-    p.add_argument("file")
-    p.set_defaults(func=cmd_fibrancy_probe)
-
-    p = sub.add_parser(
+    verb(
         "lift-check",
-        parents=[common],
-        help="search for a lift of a square through a functor",
+        cmd_lift_check,
+        "search for a lift of a square through a functor",
+        "functor",
+        "square",
     )
-    p.add_argument("functor")
-    p.add_argument("square")
-    p.set_defaults(func=cmd_lift_check)
-
     return parser
 
 

@@ -311,14 +311,13 @@ def build_universal(kind: str, n: int = None) -> Presentation:
                 )
         return presentation(f"P({n})", obj, arrows, rels)
 
-    def sum_relations(s):
+    if kind == "S":
+        s = f"s({n})"
         rels = [
             Relation(
                 "sum",
                 idm(s),
-                term_sum(
-                    *[comp(gen(f"v{k}"), adj(gen(f"v{k}"))) for k in range(1, n + 1)]
-                ),
+                term_sum(*[comp(gen(f"v{k}"), adj(gen(f"v{k}"))) for k in range(1, n + 1)]),
             )
         ]
         for i in range(1, n + 1):
@@ -326,31 +325,27 @@ def build_universal(kind: str, n: int = None) -> Presentation:
                 lhs = comp(adj(gen(f"v{i}")), gen(f"v{j}"))
                 rhs = idm(f"o{i}") if i == j else zero_term(f"o{j}", f"o{i}")
                 rels.append(Relation(f"orthogonal[{i},{j}]", lhs, rhs))
-        return rels
-
-    if kind == "S":
-        s = f"s({n})"
         arrows = [Arrow(f"v{i}", f"o{i}", s) for i in range(1, n + 1)]
-        return presentation(f"S({n})", obj + [s], arrows, sum_relations(s))
+        return presentation(f"S({n})", obj + [s], arrows, rels)
 
-    if kind == "SP":
-        s = f"s({n})"
-        arrows = [Arrow(f"v{i}", f"o{i}", s) for i in range(1, n + 1)]
-        arrows.append(Arrow("p", s, s))
-        rels = sum_relations(s) + [
-            Relation("p self-adjoint", adj(gen("p")), gen("p")),
-            Relation("p idempotent", comp(gen("p"), gen("p")), gen("p")),
-        ]
-        return presentation(f"SP({n})", obj + [s], arrows, rels)
-
-    if kind == "SR":
-        s, r = f"s({n})", f"r({n})"
-        arrows = [Arrow(f"v{i}", f"o{i}", s) for i in range(1, n + 1)]
-        arrows.append(Arrow("v", r, s))
-        rels = sum_relations(s) + [
-            Relation("retract isometry", comp(adj(gen("v")), gen("v")), idm(r)),
-        ]
-        return presentation(f"SR({n})", obj + [s, r], arrows, rels)
+    if kind in ("SP", "SR"):
+        base, s, r = build_universal("S", n), f"s({n})", f"r({n})"
+        p, v = gen("p"), gen("v")
+        if kind == "SP":
+            vertices, arrows = (), (Arrow("p", s, s),)
+            rels = (
+                Relation("p self-adjoint", adj(p), p),
+                Relation("p idempotent", comp(p, p), p),
+            )
+        else:
+            vertices, arrows = (r,), (Arrow("v", r, s),)
+            rels = (Relation("retract isometry", comp(adj(v), v), idm(r)),)
+        return presentation(
+            f"{kind}({n})",
+            base.vertices + vertices,
+            base.arrows + arrows,
+            base.relations + rels,
+        )
 
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -491,93 +486,55 @@ class GeneratingMap:
         raise KeyError(name)
 
 
-_GENERATING_MAP_NAMES = (
-    "F_to_P",
-    "S_n",
-    "R_n",
-    "P_to_SP",
-    "S_to_SP",
-    "SP_to_SR",
-    "R_to_SR",
-)
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+# name -> (source kind, target kind, n -> images of the renamed arrows);
+# every other vertex and arrow of the source maps to itself.
+_GENERATING_MAPS = {
+    "F_to_P": ("F", "P", lambda n: {}),
+    "S_n": ("F", "S", lambda n: {}),
+    "R_n": (
+        "P",
+        "R",
+        lambda n: {f"p{i}_{j}": comp(adj(gen(f"s{i}")), gen(f"s{j}")) for i, j in _pairs(n)},
+    ),
+    "P_to_SP": (
+        "P",
+        "SP",
+        lambda n: {
+            f"p{i}_{j}": comp(adj(gen(f"v{i}")), gen("p"), gen(f"v{j}")) for i, j in _pairs(n)
+        },
+    ),
+    "S_to_SP": ("S", "SP", lambda n: {}),
+    "SP_to_SR": ("SP", "SR", lambda n: {"p": comp(gen("v"), adj(gen("v")))}),
+    "R_to_SR": (
+        "R",
+        "SR",
+        lambda n: {f"s{i}": comp(adj(gen("v")), gen(f"v{i}")) for i in range(1, n + 1)},
+    ),
+}
 
 
 def generating_map(name: str, n: int) -> GeneratingMap:
     """The comparison maps between the universal presentations."""
-
-    def build(src, tgt, vmap, amap):
-        return GeneratingMap(
-            name, src, tgt, tuple(sorted(vmap.items())), tuple(sorted(amap.items()))
+    if name not in _GENERATING_MAPS:
+        raise ValueError(
+            f"unknown generating map {name!r}; choose from {tuple(_GENERATING_MAPS)}"
         )
-
-    rng = range(1, n + 1)
-    if name == "F_to_P":
-        return build(
-            build_universal("F", n),
-            build_universal("P", n),
-            {f"o{i}": f"o{i}" for i in rng},
-            {},
-        )
-    if name == "S_n":
-        return build(
-            build_universal("F", n),
-            build_universal("S", n),
-            {f"o{i}": f"o{i}" for i in rng},
-            {},
-        )
-    if name == "R_n":
-        if n == 0:
-            return build(
-                build_universal("F", 0),  # the empty presentation
-                build_universal("R", 0),
-                {},
-                {},
-            )
-        return build(
-            build_universal("P", n),
-            build_universal("R", n),
-            {f"o{i}": f"o{i}" for i in rng},
-            {
-                f"p{i}_{j}": comp(adj(gen(f"s{i}")), gen(f"s{j}"))
-                for i in rng
-                for j in rng
-            },
-        )
-    if name == "P_to_SP":
-        return build(
-            build_universal("P", n),
-            build_universal("SP", n),
-            {f"o{i}": f"o{i}" for i in rng},
-            {
-                f"p{i}_{j}": comp(adj(gen(f"v{i}")), gen("p"), gen(f"v{j}"))
-                for i in rng
-                for j in rng
-            },
-        )
-    if name == "S_to_SP":
-        return build(
-            build_universal("S", n),
-            build_universal("SP", n),
-            {f"o{i}": f"o{i}" for i in rng} | {f"s({n})": f"s({n})"},
-            {f"v{i}": gen(f"v{i}") for i in rng},
-        )
-    if name == "SP_to_SR":
-        return build(
-            build_universal("SP", n),
-            build_universal("SR", n),
-            {f"o{i}": f"o{i}" for i in rng} | {f"s({n})": f"s({n})"},
-            {f"v{i}": gen(f"v{i}") for i in rng}
-            | {"p": comp(gen("v"), adj(gen("v")))},
-        )
-    if name == "R_to_SR":
-        return build(
-            build_universal("R", n),
-            build_universal("SR", n),
-            {f"o{i}": f"o{i}" for i in rng} | {f"r({n})": f"r({n})"},
-            {f"s{i}": comp(adj(gen("v")), gen(f"v{i}")) for i in rng},
-        )
-    raise ValueError(
-        f"unknown generating map {name!r}; choose from {_GENERATING_MAP_NAMES}"
+    source_kind, target_kind, renamed = _GENERATING_MAPS[name]
+    if name == "R_n" and n == 0:
+        source_kind = "F"  # R(0) is the zero object; its source is the empty presentation
+    source = build_universal(source_kind, n)
+    target = build_universal(target_kind, n)
+    arrows = {a.name: gen(a.name) for a in source.arrows} | renamed(n)
+    return GeneratingMap(
+        name,
+        source,
+        target,
+        tuple((v, v) for v in sorted(source.vertices)),
+        tuple(sorted(arrows.items())),
     )
 
 

@@ -584,14 +584,15 @@ def linear_combination(vectors, target):
 
 def combine(coeffs, matrices, rows: int, cols: int) -> ExactMatrix:
     """The rows x cols matrix sum of c * m over paired coefficients and
-    matrices; zero coefficients are skipped, so an empty sum is zero."""
+    matrices; zero coefficients and zero entries are skipped, so an empty
+    sum is zero."""
     acc = [ZERO] * (rows * cols)
     for c, m in zip(coeffs, matrices):
         if c.is_zero():
             continue
         if m.rows != rows or m.cols != cols:
             raise ShapeError(f"combining a {m.rows}x{m.cols} matrix into {rows}x{cols}")
-        acc = [a + c * x for a, x in zip(acc, m.entries)]
+        acc = [a if x.is_zero() else a + c * x for a, x in zip(acc, m.entries)]
     return ExactMatrix(rows, cols, tuple(acc))
 
 

@@ -416,7 +416,9 @@ def _block_sum_decomposition(cat, da, db, pairs):
         if sum(zs, zero) != cat.unit(x) or any(
             z @ w != (z if i == j else zero) for i, z in enumerate(zs) for j, w in enumerate(zs)
         ):
-            raise CertificateError(f"the blocks are not orthogonal idempotents summing to the unit of {x}")
+            raise CertificateError(
+                f"the blocks are not orthogonal idempotents summing to the unit of {x}"
+            )
     for (x, y), arrows in cat.homs:
         if any(p[y] @ f != f @ p[x] for f in arrows for p in pieces):
             raise CertificateError(f"a block family is not central on hom({x}, {y})")
@@ -529,53 +531,22 @@ class MinimalProjectionError(Exception):
     realizations.)"""
 
 
-def _commutant(dim, unit, span_matrices):
+def _commutant(n, unit, span_matrices):
     """All T with T = unit T = T unit commuting with every span
     element, as a list of matrices."""
+    one = ExactMatrix.identity(n)
     rows = []
-    n = dim
-
-    def add_constraint(mat_of_var):
-        # mat_of_var: function var-index -> entry of constraint matrix
+    # Variables: entries of T, row-major.  Each pair (a, b) contributes
+    # the n * n rows of a T - T b = 0.
+    for a, b in [(unit, one), (one, unit)] + [(m, m) for m in span_matrices]:
         for r in range(n):
             for c in range(n):
-                rows.append(tuple(mat_of_var(r, c, k) for k in range(n * n)))
-
-    # Variables: entries of T, row-major.  Constraint: unit T - T = 0.
-    def unit_left(r, c, k):
-        i, j = divmod(k, n)
-        acc = ZERO
-        if j == c:
-            acc = acc + unit.entry(r, i)
-        if (i, j) == (r, c):
-            acc = acc - ONE
-        return acc
-
-    def unit_right(r, c, k):
-        i, j = divmod(k, n)
-        acc = ZERO
-        if i == r:
-            acc = acc + unit.entry(j, c)
-        if (i, j) == (r, c):
-            acc = acc - ONE
-        return acc
-
-    add_constraint(unit_left)
-    add_constraint(unit_right)
-    for b in span_matrices:
-        def commute(r, c, k, b=b):
-            i, j = divmod(k, n)
-            acc = ZERO
-            if i == r:
-                acc = acc + b.entry(j, c)  # (T b)[r, c] term
-            if j == c:
-                acc = acc - b.entry(r, i)  # (b T)[r, c] term
-            return acc
-
-        add_constraint(commute)
-
-    basis = nullspace(rows)
-    return [ExactMatrix(n, n, v) for v in basis]
+                row = [ZERO] * (n * n)
+                for k in range(n):
+                    row[k * n + c] += a.entry(r, k)  # (a T)[r, c] term
+                    row[r * n + k] -= b.entry(k, c)  # (T b)[r, c] term
+                rows.append(tuple(row))
+    return [ExactMatrix(n, n, v) for v in nullspace(rows)]
 
 
 def _minimal_projection_in_span(cat, name, unit, mult, unit_rank):
