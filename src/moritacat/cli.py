@@ -545,7 +545,9 @@ def _build_parser():
         return p
 
     verb("validate", cmd_validate, "parse a document and check every structural invariant", "file")
+
     verb("decompose", cmd_decompose, "block decomposition of a category", "file")
+
     p = verb("saturate", cmd_saturate, "query the saturation of a category", "file")
     p.add_argument(
         "--object", metavar="OBJ", help="validate a saturation-object document"
@@ -556,7 +558,9 @@ def _build_parser():
         metavar=("SRC", "TGT"),
         help="hom-space basis between two saturation objects",
     )
+
     verb("morita", cmd_morita, "decide Morita equivalence of two categories", "a", "b")
+
     p = verb(
         "hom", cmd_hom, "the homotopy-category hom monoid between two categories", "a", "b"
     )
@@ -566,6 +570,7 @@ def _build_parser():
         default=None,
         help="also count the elements with entry sum at most BOUND",
     )
+
     verb(
         "compose",
         cmd_compose,
@@ -573,6 +578,7 @@ def _build_parser():
         "first",
         "second",
     )
+
     p = verb(
         "picard",
         cmd_picard,
@@ -590,7 +596,9 @@ def _build_parser():
         default=2,
         help="entry bound of the --verify enumeration (default 2)",
     )
+
     verb("k0", cmd_k0, "the K0 group of a category", "file")
+
     verb(
         "tensor",
         cmd_tensor,
@@ -598,14 +606,17 @@ def _build_parser():
         "a",
         "b",
     )
+
     verb(
         "k0-ring", cmd_k0_ring, "the ring structure on K0 of a product of base fields", "file"
     )
+
     p = verb("universal", cmd_universal, "emit a standard generating presentation")
     p.add_argument(
         "kind", choices=["F", "S", "P", "R", "SP", "SR", "I", "0"]
     )
     p.add_argument("n", nargs="?", type=int, default=None)
+
     p = verb(
         "pushout",
         cmd_pushout,
@@ -621,12 +632,14 @@ def _build_parser():
         metavar="ASSIGNMENT",
         help="adjoin a range object for a projection-matrix assignment",
     )
+
     verb(
         "fibrancy-probe",
         cmd_fibrancy_probe,
         "probe a category for zero objects, sums, and splittings",
         "file",
     )
+
     verb(
         "lift-check",
         cmd_lift_check,
@@ -634,6 +647,7 @@ def _build_parser():
         "functor",
         "square",
     )
+
     return parser
 
 

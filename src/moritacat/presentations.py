@@ -317,7 +317,9 @@ def build_universal(kind: str, n: int = None) -> Presentation:
             Relation(
                 "sum",
                 idm(s),
-                term_sum(*[comp(gen(f"v{k}"), adj(gen(f"v{k}"))) for k in range(1, n + 1)]),
+                term_sum(
+                    *[comp(gen(f"v{k}"), adj(gen(f"v{k}"))) for k in range(1, n + 1)]
+                ),
             )
         ]
         for i in range(1, n + 1):
